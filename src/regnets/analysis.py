@@ -121,13 +121,11 @@ def distance_function(
     reg = method.regularizer()
     r = x - method.residual_map(reg.apply_gram(x))
 
-    kept = op.kept
-    if not np.any(kept):
+    if op.rank == 0:
         return float(np.linalg.norm(r))
-    u = op.image_vectors[:, kept]
-    s = op.singular_values[kept] ** (2.0 * sc.mu)
-    coef = u.T @ r
-    kernel_sq = float(np.sum((r - u @ coef) ** 2))
+    s = op.singular_values[: op.rank] ** (2.0 * sc.mu)
+    coef = op.image_vectors[:, : op.rank].T @ r
+    kernel_sq = float(np.sum(op.kernel_project(r) ** 2))
 
     w_unconstrained = coef / s
     if np.linalg.norm(w_unconstrained) <= sc.rho:
@@ -244,7 +242,7 @@ def rate_experiment(
     positive = sorted(d for d in deltas if d > 0)
     if len(positive) < 3:
         raise ValueError("degenerate fit: need at least 3 positive noise levels")
-    if positive[-1] / positive[0] < 1e3:
+    if np.log10(positive[-1]) - np.log10(positive[0]) < 3.0 - 1e-12:
         raise ValueError("noise levels must span at least 3 decades")
 
     rng = np.random.default_rng(seed)

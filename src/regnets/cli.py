@@ -212,15 +212,6 @@ def cmd_phantoms(cfg: RunConfig) -> int:
     return 0
 
 
-def _filtered_batch(op, filt, alpha, sinograms):
-    """B_alpha applied to every row of a (count, rows) sinogram array."""
-    reg = FilterRegularizer(op, filt, alpha)
-    kept = op.kept
-    gain = reg._gain()
-    coef = (sinograms @ op.data_vectors[:, kept]) * gain[None, :]
-    return coef @ op.image_vectors[:, kept].T
-
-
 def cmd_train(cfg: RunConfig) -> int:
     op = _load_operator(cfg)
     filt = _make_cfg_filter(cfg, op)
@@ -238,7 +229,7 @@ def cmd_train(cfg: RunConfig) -> int:
     entries = []
     caps = []
     for idx, alpha in enumerate(cfg.alpha_list()):
-        base = _filtered_batch(op, filt, alpha, sinograms)
+        base = FilterRegularizer(op, filt, alpha).apply(sinograms)
         project = regnet.residual_projection(cfg.method, op, alpha)
         params = network.init_network(arch, cfg.seed + 1000 * idx)
         state = network.TrainState(lr=cfg.lr, momentum=cfg.momentum)
@@ -269,12 +260,14 @@ def _load_family(cfg: RunConfig, op, filt, variant):
     manifest = Path(cfg.model_dir) / variant / "manifest.txt"
     if not manifest.exists():
         return None
-    entries = storage.read_manifest(manifest)
+    entries, meta = storage.read_manifest(manifest)
+    cap = float(meta.get("lipschitz_cap", "nan"))
+    if not np.isfinite(cap):
+        raise ValueError(f"{manifest}: no finite lipschitz_cap")
     members = [
         (alpha, storage.read_model(manifest.parent / name))
         for alpha, name in sorted(entries, key=lambda e: -e[0])
     ]
-    cap = max(network.lipschitz_upper_bound(p) for _, p in members)
     return regnet.RegNetFamily(variant, op, filt, members, lipschitz_cap=cap)
 
 

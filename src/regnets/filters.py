@@ -174,39 +174,38 @@ class FilterRegularizer:
 
     def _gain(self) -> np.ndarray:
         """g_alpha(sigma^2) sigma over the kept spectrum."""
-        sigma = self.operator.singular_values[self.operator.kept]
+        sigma = self.operator.singular_values[: self.operator.rank]
         return self.filt.value(self.alpha, sigma**2) * sigma
 
     def coefficients(self, y) -> np.ndarray:
-        """Spectral coefficients of B_alpha y on the kept directions.
+        """Spectral coefficients of B_alpha y on the kept directions, for one
+        data vector or a (count, rows) stack of them.
 
         This is the single floating-point path producing reconstruction
         coefficients; every consumer synthesizes from these numbers.
         """
-        y = self.operator._check_data(y)
-        v = self.operator.data_vectors[:, self.operator.kept]
-        return self._gain() * (v.T @ y)
+        y = self.operator._check_data(y, stack=True)
+        return (y @ self.operator.data_vectors[:, : self.operator.rank]) * self._gain()
 
     def synthesize(self, coef) -> np.ndarray:
-        return self.operator.image_vectors[:, self.operator.kept] @ coef
+        return coef @ self.operator.image_vectors[:, : self.operator.rank].T
 
     def apply(self, y) -> np.ndarray:
-        """B_alpha y."""
+        """B_alpha y, row by row for a (count, rows) stack."""
         return self.synthesize(self.coefficients(y))
 
     def apply_gram(self, x) -> np.ndarray:
         """B_alpha A x = g_alpha(A*A) A*A x."""
         x = self.operator._check_coeff(x)
-        kept = self.operator.kept
-        u = self.operator.image_vectors[:, kept]
-        sigma = self.operator.singular_values[kept]
+        r = self.operator.rank
+        u = self.operator.image_vectors[:, :r]
+        sigma = self.operator.singular_values[:r]
         scale = self.filt.value(self.alpha, sigma**2) * sigma**2
         return u @ (scale * (u.T @ x))
 
     def norm(self) -> float:
         """Exact operator norm of B_alpha on the stored spectrum."""
-        kept = self.operator.kept
-        if not np.any(kept):
+        if self.operator.rank == 0:
             return 0.0
         return float(np.max(np.abs(self._gain())))
 

@@ -9,8 +9,11 @@ in coefficient (image) space, ``v_n`` in data space, and
 
     A x = sum_n sigma_n <u_n, x> v_n.
 
-The numerical kernel is the span of every coefficient-space direction
-whose singular value is at or below ``rank_tol * sigma_1``, together
+The singular values are stored in descending order, so every spectral
+set the code uses is a prefix of the stored system: directions
+``0 .. rank-1`` are kept (sigma_n above ``rank_tol * sigma_1``), and the
+first ``retained_rank(alpha)`` of them have sigma_n^2 >= alpha.  The
+numerical kernel is the span of the remaining stored directions together
 with the orthogonal complement of the stored system.
 """
 
@@ -38,6 +41,9 @@ class SvdOperator:
     singular_values : (k,) array, descending and non-negative.
     rank_tol : float
         Relative threshold; sigma_n <= rank_tol * sigma_1 is treated as 0.
+    rank : int
+        Number of kept directions: columns 0 .. rank-1 (a prefix, as the
+        singular values descend).  ``retained_rank(alpha)`` is a shorter one.
     """
 
     matrix: np.ndarray
@@ -45,12 +51,14 @@ class SvdOperator:
     data_vectors: np.ndarray
     singular_values: np.ndarray
     rank_tol: float
-    kept: np.ndarray = field(init=False, repr=False)
+    rank: int = field(init=False)
 
     def __post_init__(self):
         sigma = self.singular_values
+        if not (np.all(np.isfinite(sigma)) and np.all(sigma >= 0) and np.all(np.diff(sigma) <= 0)):
+            raise ValueError("singular values must be finite, non-negative and non-increasing")
         cutoff = self.rank_tol * (sigma[0] if sigma.size else 0.0)
-        object.__setattr__(self, "kept", sigma > cutoff)
+        object.__setattr__(self, "rank", int(np.count_nonzero(sigma > cutoff)))
 
     @property
     def rows(self) -> int:
@@ -64,26 +72,15 @@ class SvdOperator:
     def sigma_max(self) -> float:
         return float(self.singular_values[0]) if self.singular_values.size else 0.0
 
-    @property
-    def rank(self) -> int:
-        return int(np.count_nonzero(self.kept))
+    def retained_rank(self, alpha: float) -> int:
+        """Number of leading kept directions with sigma_n^2 >= alpha."""
+        return int(np.count_nonzero(self.singular_values[: self.rank] ** 2 >= alpha))
 
-    def retained(self, alpha: float) -> np.ndarray:
-        """Boolean mask of stored directions with sigma_n^2 >= alpha that are
-        above the numerical-kernel cutoff."""
-        return self.kept & (self.singular_values**2 >= alpha)
+    def _check_coeff(self, x, stack=False):
+        return _check_length(x, self.cols, "coefficient", stack)
 
-    def _check_coeff(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.cols,):
-            raise ValueError(f"expected coefficient vector of length {self.cols}, got shape {x.shape}")
-        return x
-
-    def _check_data(self, y):
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.rows,):
-            raise ValueError(f"expected data vector of length {self.rows}, got shape {y.shape}")
-        return y
+    def _check_data(self, y, stack=False):
+        return _check_length(y, self.rows, "data", stack)
 
     def forward(self, x) -> np.ndarray:
         """A x."""
@@ -100,25 +97,38 @@ class SvdOperator:
         the result is orthogonal to the numerical kernel.
         """
         y = self._check_data(y)
-        k = self.kept
-        coef = (self.data_vectors[:, k].T @ y) / self.singular_values[k]
-        return self.image_vectors[:, k] @ coef
+        r = self.rank
+        coef = (self.data_vectors[:, :r].T @ y) / self.singular_values[:r]
+        return self.image_vectors[:, :r] @ coef
+
+    def project_out(self, x, r: int) -> np.ndarray:
+        """x minus its orthogonal projection onto u_0 .. u_{r-1}, for one
+        coefficient vector or a (count, cols) stack of them."""
+        x = self._check_coeff(x, stack=True)
+        u = self.image_vectors[:, :r]
+        return x - (x @ u) @ u.T
 
     def kernel_project(self, x) -> np.ndarray:
         """Orthogonal projection onto the numerical kernel."""
-        x = self._check_coeff(x)
-        u = self.image_vectors[:, self.kept]
-        return x - u @ (u.T @ x)
+        return self.project_out(x, self.rank)
 
     def power_apply(self, x, mu: float) -> np.ndarray:
         """(A* A)^mu x for mu > 0, with numerical-kernel components annihilated."""
         if not (np.isfinite(mu) and mu > 0):
             raise ValueError(f"mu must be finite and positive, got {mu}")
         x = self._check_coeff(x)
-        k = self.kept
-        u = self.image_vectors[:, k]
-        scale = self.singular_values[k] ** (2.0 * mu)
+        r = self.rank
+        u = self.image_vectors[:, :r]
+        scale = self.singular_values[:r] ** (2.0 * mu)
         return u @ (scale * (u.T @ x))
+
+
+def _check_length(x, length: int, space: str, stack: bool) -> np.ndarray:
+    """x as one float vector of ``length``, or with ``stack`` also a (count, length) stack."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in ((1, 2) if stack else (1,)) or x.shape[-1] != length:
+        raise ValueError(f"expected {space} vector of length {length}, got shape {x.shape}")
+    return x
 
 
 def svd_decompose(matrix, rank_tol: float = 1e-10) -> SvdOperator:

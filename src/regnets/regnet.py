@@ -52,9 +52,7 @@ def continued_svd_residual(op: SvdOperator, alpha: float, params: network.Networ
     numerical kernel, i.e. the complement of the retained directions."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    out = network.forward(params, z)
-    u = op.image_vectors[:, op.retained(alpha)]
-    return out - u @ (u.T @ out)
+    return op.project_out(network.forward(params, z), op.retained_rank(alpha))
 
 
 def residual_projection(variant: str, op: SvdOperator, alpha: float):
@@ -63,17 +61,12 @@ def residual_projection(variant: str, op: SvdOperator, alpha: float):
     if variant == CLASSICAL:
         return None
     if variant == NULLSPACE:
-        u = op.image_vectors[:, op.kept]
+        r = op.rank
     elif variant == CONTINUED:
-        u = op.image_vectors[:, op.retained(alpha)]
+        r = op.retained_rank(alpha)
     else:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-
-    def project(rows):
-        rows = np.atleast_2d(rows)
-        return rows - (rows @ u) @ u.T
-
-    return project
+    return lambda rows: op.project_out(rows, r)
 
 
 @dataclass(frozen=True)
@@ -101,7 +94,7 @@ class ReconstructionMethod:
 
     @property
     def kept_count(self) -> int:
-        return int(np.count_nonzero(self.operator.retained(self.alpha)))
+        return self.operator.retained_rank(self.alpha)
 
     def residual_map(self, z) -> np.ndarray:
         """The learned residual applied to a coefficient vector (0 for classical)."""
@@ -125,14 +118,7 @@ class ReconstructionMethod:
         Computed on the one shared filter path, so the classical filter and
         the continued-SVD extension return bit-identical numbers here.
         """
-        reg = self.regularizer()
-        coef = reg.coefficients(y)
-        mask = self.operator.retained(self.alpha)[self.operator.kept]
-        return coef[mask]
-
-    def residual_projection(self):
-        """Projection applied to raw network outputs during training."""
-        return residual_projection(self.variant, self.operator, self.alpha)
+        return self.regularizer().coefficients(y)[: self.kept_count]
 
 
 def a3_residual(method: ReconstructionMethod, x) -> float:

@@ -187,14 +187,21 @@ def write_manifest(path, entries, meta: dict | None = None):
 
 
 def read_manifest(path):
+    """(entries, meta): the (alpha, model) pairs and the '# key=value' header."""
     entries = []
+    meta = {}
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
-        if not line or line.startswith("#"):
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, sep, value = line[1:].strip().partition("=")
+            if sep:
+                meta[key] = value
             continue
         fields = dict(part.partition("=")[::2] for part in line.split())
         entries.append((float(fields["alpha"]), fields["model"]))
-    return entries
+    return entries, meta
 
 
 def write_pgm16(path, image):
@@ -212,8 +219,10 @@ def read_pgm16(path) -> np.ndarray:
     while len(fields) < 4:
         while off < len(blob) and blob[off : off + 1].isspace():
             off += 1
+        if off == len(blob):
+            raise ValueError(f"{path}: PGM header has fewer than four fields")
         if blob[off : off + 1] == b"#":
-            while blob[off : off + 1] != b"\n":
+            while off < len(blob) and blob[off : off + 1] != b"\n":
                 off += 1
             continue
         start = off

@@ -34,9 +34,8 @@ def projected_gradient_distance(op, r, mu, rho, iters=300_000, tol=1e-8):
     """Independent constrained least-squares solver for the source-set
     distance: projected gradient descent on the representer, run to
     1e-8 stationarity.  Used as the oracle against the closed-form path."""
-    kept = op.kept
-    u = op.image_vectors[:, kept]
-    s = op.singular_values[kept] ** (2.0 * mu)
+    u = op.image_vectors[:, : op.rank]
+    s = op.singular_values[: op.rank] ** (2.0 * mu)
     coef = u.T @ r
     kernel_sq = float(np.sum((r - u @ coef) ** 2))
     w = np.zeros_like(coef)

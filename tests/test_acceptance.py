@@ -175,7 +175,7 @@ def test_criterion_05_error_bound():
     sc = SourceCondition(mu=0.5, rho=1.0)
     params = network.init_network(NetworkArch(grid=5, hidden=(4,)), 2)
     lip = network.lipschitz_upper_bound(params)
-    sigma = op.singular_values[op.kept]
+    sigma = op.singular_values[: op.rank]
     checked = 0
     ok = True
     for trial in range(102):
@@ -202,14 +202,14 @@ def test_criterion_06_continued_svd_structure():
     op = svd_decompose(rng.standard_normal((15, 25)))
     filt = TruncatedSvdFilter()
     params = network.init_network(NetworkArch(grid=5, hidden=(4,)), 5)
-    sigma = op.singular_values[op.kept]
+    sigma = op.singular_values[: op.rank]
     alpha = float(sigma[len(sigma) // 2] ** 2)
     cont = ReconstructionMethod(CONTINUED, op, filt, alpha, params)
     base = ReconstructionMethod(CLASSICAL, op, filt, alpha)
 
     worst_a3 = max(a3_residual(cont, rng.standard_normal(op.cols)) for _ in range(100))
     preserved = True
-    u_retained = op.image_vectors[:, op.retained(alpha)]
+    u_retained = op.image_vectors[:, : op.retained_rank(alpha)]
     for _ in range(20):
         y = rng.standard_normal(op.rows)
         preserved &= np.array_equal(cont.retained_coefficients(y), base.retained_coefficients(y))
@@ -226,7 +226,7 @@ def test_criterion_07_nullspace_confinement():
     op = svd_decompose(rng.standard_normal((15, 25)))
     filt = TruncatedSvdFilter()
     params = network.init_network(NetworkArch(grid=5, hidden=(4,)), 6)
-    sigma = op.singular_values[op.kept]
+    sigma = op.singular_values[: op.rank]
     alpha = float(sigma[len(sigma) // 2] ** 2)
     method = ReconstructionMethod(NULLSPACE, op, filt, alpha, params)
     base = ReconstructionMethod(CLASSICAL, op, filt, alpha)
@@ -256,13 +256,11 @@ def test_criterion_08_testbench_ordering():
     test_sinograms = [op.matrix @ c for c in test_truths]
 
     arch = NetworkArch(grid=64, hidden=(16, 16))
-    kept = op.kept
     families = {}
     for variant in (NULLSPACE, CONTINUED):
         members = []
         for idx, alpha in enumerate(alphas):
-            reg = FilterRegularizer(op, filt, alpha)
-            base = (sinograms @ op.data_vectors[:, kept]) * reg._gain()[None] @ op.image_vectors[:, kept].T
+            base = FilterRegularizer(op, filt, alpha).apply(sinograms)
             params = network.init_network(arch, 42 + idx)
             state = network.TrainState(lr=3e-5, momentum=0.99)
             network.train(

@@ -76,7 +76,7 @@ class TestErrorBound:
         w = rng.standard_normal(tall_op.cols)
         w *= sc.rho / np.linalg.norm(w)
         x = tall_op.power_apply(w, sc.mu)
-        sigma_min = tall_op.singular_values[tall_op.kept][-1]
+        sigma_min = tall_op.singular_values[: tall_op.rank][-1]
         alpha = 0.5 * sigma_min**2  # nothing truncated
         m = classical(tall_op, alpha)
         terms = error_bound_terms(m, x, tall_op.forward(x), 0.0, sc, 0.0, 1.0)
@@ -88,7 +88,7 @@ class TestErrorBound:
     def test_continued_a3_term_zero(self, small_op, rng):
         sc = SourceCondition(mu=0.5, rho=1.0)
         params = network.init_network(NetworkArch(grid=5, hidden=(3,)), 2)
-        sigma = small_op.singular_values[small_op.kept]
+        sigma = small_op.singular_values[: small_op.rank]
         alpha = float(sigma[len(sigma) // 2] ** 2)
         m = ReconstructionMethod(CONTINUED, small_op, TruncatedSvdFilter(), alpha, params)
         x = rng.standard_normal(small_op.cols)
@@ -100,7 +100,7 @@ class TestErrorBound:
         sc = SourceCondition(mu=0.5, rho=1.0)
         params = network.init_network(NetworkArch(grid=5, hidden=(3,)), 2)
         lip = network.lipschitz_upper_bound(params)
-        sigma = small_op.singular_values[small_op.kept]
+        sigma = small_op.singular_values[: small_op.rank]
         for trial in range(30):
             alpha = float(rng.choice(sigma) ** 2)
             variant = [CLASSICAL, NULLSPACE, CONTINUED][trial % 3]
@@ -157,6 +157,12 @@ class TestRateExperiment:
             rate_experiment(small_op, TruncatedSvdFilter(), sc, [1e-3, 1e-4], seed=0)
         with pytest.raises(ValueError):
             rate_experiment(small_op, TruncatedSvdFilter(), sc, [1e-3, 2e-3, 3e-3], seed=0)
+
+    def test_exactly_three_decades_accepted(self, tiny_radon_op):
+        # 1e-2 / 1e-5 rounds to 999.9999999999999
+        deltas = [1e-5, 1e-4, 1e-3, 1e-2]
+        report = rate_experiment(tiny_radon_op, TruncatedSvdFilter(), SourceCondition(mu=0.5, rho=1.0), deltas, seed=0)
+        assert [r.delta for r in report.rate_rows] == deltas
 
     def test_noiseless_entry_reported_separately(self, tiny_radon_op):
         sc = SourceCondition(mu=0.5, rho=1.0)
@@ -275,7 +281,7 @@ class TestEvaluateTestset:
 
     def test_best_alpha_reported(self, tiny_radon_op, rng):
         truths, sinograms = self._testset(tiny_radon_op, rng)
-        sigma = tiny_radon_op.singular_values[tiny_radon_op.kept]
+        sigma = tiny_radon_op.singular_values[: tiny_radon_op.rank]
         methods = [classical(tiny_radon_op, float(sigma[k] ** 2)) for k in (10, 30, 60)]
         report = evaluate_testset(methods, truths, sinograms, 0.02, seed=1)
         best = min(report.curve_rows, key=lambda r: r.mse)

@@ -72,8 +72,9 @@ class TestPipeline:
         assert storage.read_array("train.rgn1").shape == (8, 100)
         assert storage.read_array("test.rgn1").shape == (3, 100)
 
-        manifest = storage.read_manifest("models/continued/manifest.txt")
+        manifest, meta = storage.read_manifest("models/continued/manifest.txt")
         assert [alpha for alpha, _ in manifest] == [2e-3, 5e-4]
+        assert np.isfinite(float(meta["lipschitz_cap"]))
 
         for name in (
             "out/evaluate_classical_d0.05.csv",
@@ -132,3 +133,24 @@ class TestExitCodes:
         (workspace / "hot.cfg").write_text(TINY_CONFIG.replace("lr=1e-4", "lr=1e155"))
         with np.errstate(all="ignore"):
             assert run("train", "--config", "hot.cfg") == 2
+
+    def test_numeric_error_unordered_singular_values(self, workspace):
+        run("assemble", "--config", "run.cfg")
+        run("phantoms", "--config", "run.cfg")
+        op = storage.read_operator("operator.rgn1")
+        sigma_at = 24 + 8 * op.rows * op.cols
+        blob = bytearray((workspace / "operator.rgn1").read_bytes())
+        blob[sigma_at : sigma_at + 16] = blob[sigma_at + 8 : sigma_at + 16] + blob[sigma_at : sigma_at + 8]
+        (workspace / "operator.rgn1").write_bytes(bytes(blob))
+        assert run("evaluate", "--config", "run.cfg") == 2
+
+    @pytest.mark.parametrize("cap_line", ["", "# lipschitz_cap=inf"])
+    def test_numeric_error_manifest_without_finite_cap(self, workspace, cap_line):
+        run("assemble", "--config", "run.cfg")
+        run("phantoms", "--config", "run.cfg")
+        assert run("train", "--config", "run.cfg") == 0
+        manifest = workspace / "models" / "continued" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        lines = [cap_line if line.startswith("# lipschitz_cap=") else line for line in lines]
+        manifest.write_text("\n".join(lines) + "\n")
+        assert run("evaluate", "--config", "run.cfg") == 2

@@ -64,7 +64,7 @@ class TestApplyRegularizer:
         np.testing.assert_array_equal(got, np.zeros(small_op.cols))
 
     def test_tsvd_nothing_cut_equals_pseudo_inverse(self, tall_op, rng):
-        sigma_min = tall_op.singular_values[tall_op.kept][-1]
+        sigma_min = tall_op.singular_values[: tall_op.rank][-1]
         reg = FilterRegularizer(tall_op, TruncatedSvdFilter(), 0.5 * sigma_min**2)
         x = rng.standard_normal(tall_op.cols)
         x -= tall_op.kernel_project(x)
@@ -83,22 +83,22 @@ class TestApplyRegularizer:
     def test_matches_spectral_synthesis(self, small_op, rng, filt):
         for alpha in (1e-3, 0.1, 1.0):
             reg = FilterRegularizer(small_op, filt, alpha)
-            kept = small_op.kept
-            sigma = small_op.singular_values[kept]
+            r = small_op.rank
+            sigma = small_op.singular_values[:r]
             synth = (
-                small_op.image_vectors[:, kept]
+                small_op.image_vectors[:, :r]
                 * (filt.value(alpha, sigma**2) * sigma)
-            ) @ small_op.data_vectors[:, kept].T
+            ) @ small_op.data_vectors[:, :r].T
             y = rng.standard_normal(small_op.rows)
             want = synth @ y
             got = reg.apply(y)
             assert np.linalg.norm(got - want) <= 1e-10 * max(np.linalg.norm(want), 1e-300)
 
     def test_monotone_cut_consistency(self, small_op):
-        alphas = np.sort(small_op.singular_values[small_op.kept] ** 2)[::2]
+        alphas = np.sort(small_op.singular_values[: small_op.rank] ** 2)[::2]
         previous = None
         for alpha in alphas[::-1]:  # descending alpha grows the retained set
-            retained = set(np.flatnonzero(small_op.retained(alpha)))
+            retained = set(range(small_op.retained_rank(alpha)))
             if previous is not None:
                 assert previous <= retained
             previous = retained
@@ -107,11 +107,23 @@ class TestApplyRegularizer:
         reg = FilterRegularizer(small_op, TikhonovFilter(), 0.1)
         with pytest.raises(ValueError):
             reg.apply(np.zeros(small_op.rows + 2))
+        with pytest.raises(ValueError):
+            reg.apply(np.zeros((3, small_op.rows + 2)))
+        with pytest.raises(ValueError):
+            reg.apply(np.zeros((2, 3, small_op.rows)))
+
+    @pytest.mark.parametrize("filt", [TikhonovFilter(), TruncatedSvdFilter(), LandweberFilter(0.01)])
+    def test_row_stack_matches_per_row(self, small_op, rng, filt):
+        reg = FilterRegularizer(small_op, filt, 0.1)
+        ys = rng.standard_normal((6, small_op.rows))
+        got = reg.apply(ys)
+        want = np.stack([reg.apply(y) for y in ys])
+        assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-13 * np.linalg.norm(want, axis=1))
 
 
 class TestRegularizerNorm:
     def test_tsvd_inverse_of_smallest_kept(self, small_op):
-        sigma = small_op.singular_values[small_op.kept]
+        sigma = small_op.singular_values[: small_op.rank]
         alpha = float(sigma[len(sigma) // 2] ** 2)
         reg = FilterRegularizer(small_op, TruncatedSvdFilter(), alpha)
         kept_sigmas = sigma[sigma**2 >= alpha]
@@ -120,7 +132,7 @@ class TestRegularizerNorm:
     def test_tikhonov_calculus_bound(self, small_op):
         for alpha in (1e-4, 1e-2, 1.0):
             reg = FilterRegularizer(small_op, TikhonovFilter(), alpha)
-            sigma = small_op.singular_values[small_op.kept]
+            sigma = small_op.singular_values[: small_op.rank]
             assert reg.norm() == pytest.approx(np.max(sigma / (sigma**2 + alpha)), rel=1e-12)
             assert reg.norm() <= 1.0 / (2.0 * np.sqrt(alpha)) + 1e-15
 

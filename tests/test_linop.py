@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from regnets.linop import svd_decompose
+from regnets.linop import SvdOperator, svd_decompose
 
 
 class TestDecompose:
@@ -50,6 +50,26 @@ class TestDecompose:
         b = svd_decompose(m)
         assert np.array_equal(a.image_vectors, b.image_vectors)
         assert np.array_equal(a.data_vectors, b.data_vectors)
+
+    @pytest.mark.parametrize("sigma", [[1.0, 2.0], [1.0, -0.5], [np.nan, 1.0], [np.inf, 1.0]])
+    def test_rejects_unordered_or_invalid_singular_values(self, sigma):
+        with pytest.raises(ValueError):
+            SvdOperator(np.eye(2), np.eye(2), np.eye(2), np.array(sigma), 1e-10)
+
+
+class TestPrefixRanks:
+    def test_retained_rank_at_each_singular_value(self, small_op):
+        for j, sigma in enumerate(small_op.singular_values[: small_op.rank]):
+            assert small_op.retained_rank(float(sigma**2)) == j + 1
+
+    def test_nothing_retained_above_the_spectrum(self, small_op):
+        assert small_op.retained_rank(np.nextafter(small_op.sigma_max**2, np.inf)) == 0
+
+    def test_never_more_than_rank(self):
+        # sigma = 1e-12 lies below the cutoff though its square exceeds alpha
+        op = svd_decompose(np.diag([1.0, 1e-12]))
+        assert op.rank == 1
+        assert op.retained_rank(1e-30) == 1
 
 
 class TestForwardAdjoint:
@@ -130,7 +150,7 @@ class TestKernelProject:
     def test_complement_orthogonal_to_kernel(self, small_op, rng):
         x = rng.standard_normal(small_op.cols)
         r = small_op.kernel_project(x)
-        kept = small_op.image_vectors[:, small_op.kept]
+        kept = small_op.image_vectors[:, : small_op.rank]
         # x - r lies in the span of the kept directions
         resid = (x - r) - kept @ (kept.T @ (x - r))
         assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(x)

@@ -15,6 +15,7 @@ from regnets.regnet import (
     adaptedness_probe,
     continued_svd_residual,
     nullspace_residual,
+    residual_projection,
 )
 
 
@@ -32,7 +33,7 @@ def zero_net(small_op):
 
 
 def mid_alpha(op):
-    sigma = op.singular_values[op.kept]
+    sigma = op.singular_values[: op.rank]
     return float(sigma[len(sigma) // 2] ** 2)
 
 
@@ -57,7 +58,7 @@ class TestResiduals:
         m = rng.standard_normal((30, 9)) + 2 * np.eye(30, 9)
         op = svd_decompose(m)  # trivial kernel
         params = network.init_network(NetworkArch(grid=3, hidden=(2,)), 1)
-        alpha = 0.5 * float(op.singular_values[op.kept][-1] ** 2)
+        alpha = 0.5 * float(op.singular_values[: op.rank][-1] ** 2)
         got = continued_svd_residual(op, alpha, params, rng.standard_normal(9))
         assert np.linalg.norm(got) <= 1e-10
 
@@ -70,8 +71,20 @@ class TestResiduals:
     def test_continued_orthogonal_to_retained(self, small_op, net, rng):
         alpha = mid_alpha(small_op)
         got = continued_svd_residual(small_op, alpha, net, rng.standard_normal(small_op.cols))
-        u_retained = small_op.image_vectors[:, small_op.retained(alpha)]
+        u_retained = small_op.image_vectors[:, : small_op.retained_rank(alpha)]
         assert np.abs(u_retained.T @ got).max() <= 1e-10
+
+
+    @pytest.mark.parametrize("variant", [NULLSPACE, CONTINUED])
+    def test_row_projection_matches_per_vector_residual(self, small_op, net, rng, variant):
+        alpha = float(small_op.singular_values[small_op.rank // 2] ** 2)
+        zs = rng.standard_normal((5, small_op.cols))
+        got = residual_projection(variant, small_op, alpha)(network.forward_batch(net, zs))
+        if variant == NULLSPACE:
+            want = np.stack([nullspace_residual(small_op, net, z) for z in zs])
+        else:
+            want = np.stack([continued_svd_residual(small_op, alpha, net, z) for z in zs])
+        assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-13 * np.linalg.norm(want, axis=1))
 
 
 class TestReconstruct:
@@ -88,7 +101,7 @@ class TestReconstruct:
         # retained coefficients come out of the same floating-point path
         assert np.array_equal(cont.retained_coefficients(y), base.retained_coefficients(y))
         # and the assembled vectors agree on those directions to roundoff
-        u = small_op.image_vectors[:, small_op.retained(alpha)]
+        u = small_op.image_vectors[:, : small_op.retained_rank(alpha)]
         assert np.abs(u.T @ cont.reconstruct(y) - u.T @ base.reconstruct(y)).max() <= 1e-12
 
     def test_nullspace_residual_invisible_to_forward(self, small_op, net, rng):
@@ -171,7 +184,7 @@ class TestFamily:
     def test_probe_identity_regime(self, small_op, net, rng):
         # alphas below the smallest kept sigma^2 make B_alpha A the identity
         # on ran(A+), so a shared network yields identical residuals
-        sigma_min = small_op.singular_values[small_op.kept][-1]
+        sigma_min = small_op.singular_values[: small_op.rank][-1]
         alphas = [0.5 * sigma_min**2, 0.25 * sigma_min**2, 0.1 * sigma_min**2]
         family = self._family(small_op, net, alphas, variant=CONTINUED)
         z = rng.standard_normal(small_op.cols)

@@ -93,7 +93,7 @@ class TestManifestPgmCsv:
     def test_manifest_roundtrip(self, tmp_path):
         entries = [(0.5, "model_000.rgnn"), (0.05, "model_001.rgnn")]
         storage.write_manifest(tmp_path / "manifest.txt", entries, {"config": "cafe"})
-        assert storage.read_manifest(tmp_path / "manifest.txt") == entries
+        assert storage.read_manifest(tmp_path / "manifest.txt") == (entries, {"config": "cafe"})
         text = (tmp_path / "manifest.txt").read_text()
         assert "# config=cafe" in text
 
@@ -103,6 +103,12 @@ class TestManifestPgmCsv:
         back = storage.read_pgm16(tmp_path / "img.pgm")
         assert back.shape == (6, 9)
         assert np.abs(back - img).max() <= 0.5 / 65535 + 1e-12
+
+    @pytest.mark.parametrize("blob", [b"P5\n# comment without newline", b"P5\n4"])
+    def test_pgm_truncated_header_rejected(self, tmp_path, blob):
+        (tmp_path / "bad.pgm").write_bytes(blob)
+        with pytest.raises(ValueError):
+            storage.read_pgm16(tmp_path / "bad.pgm")
 
     def test_pgm_clips(self, tmp_path):
         storage.write_pgm16(tmp_path / "img.pgm", np.array([[-1.0, 2.0]]))
