@@ -8,7 +8,8 @@ Configuration is a key=value file overridden by flags; every output
 embeds the resolved config hash and seeds in its metadata, so reruns
 with an identical config are byte-identical.
 
-Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 I/O failure.
+Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 I/O failure
+(a missing, unreadable, malformed or truncated input file).
 """
 
 from __future__ import annotations
@@ -168,11 +169,6 @@ def _overrides_from_args(args) -> dict:
     return out
 
 
-def _load_operator(cfg: RunConfig):
-    op = storage.read_operator(cfg.operator_path)
-    return op
-
-
 def _make_cfg_filter(cfg: RunConfig, op=None):
     beta = cfg.landweber_beta
     if cfg.filter == "landweber" and beta <= 0:
@@ -213,7 +209,7 @@ def cmd_phantoms(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    op = _load_operator(cfg)
+    op = storage.read_operator(cfg.operator_path)
     filt = _make_cfg_filter(cfg, op)
     if cfg.method not in (regnet.NULLSPACE, regnet.CONTINUED):
         raise ValueError(f"config method must be nullspace or continued, got {cfg.method!r}")
@@ -281,7 +277,7 @@ def _methods_for(cfg, op, filt, alpha, families):
 
 
 def cmd_reconstruct(cfg: RunConfig) -> int:
-    op = _load_operator(cfg)
+    op = storage.read_operator(cfg.operator_path)
     filt = _make_cfg_filter(cfg, op)
     truths = storage.read_array(cfg.test_path)
     if cfg.recon_index >= truths.shape[0]:
@@ -307,7 +303,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    op = _load_operator(cfg)
+    op = storage.read_operator(cfg.operator_path)
     filt = _make_cfg_filter(cfg, op)
     truths = storage.read_array(cfg.test_path)
     if truths.shape[0] == 0:
@@ -346,7 +342,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 
 def cmd_rates(cfg: RunConfig) -> int:
-    op = _load_operator(cfg)
+    op = storage.read_operator(cfg.operator_path)
     filt = _make_cfg_filter(cfg, op)
     sc = analysis.SourceCondition(mu=cfg.mu, rho=cfg.rho)
     deltas = _parse_floats(cfg.rate_deltas)
@@ -367,7 +363,7 @@ def cmd_rates(cfg: RunConfig) -> int:
 
 
 def cmd_distfn(cfg: RunConfig) -> int:
-    op = _load_operator(cfg)
+    op = storage.read_operator(cfg.operator_path)
     filt = _make_cfg_filter(cfg, op)
     sc = analysis.SourceCondition(mu=cfg.mu, rho=cfg.rho)
     rng = np.random.default_rng(cfg.seed)
@@ -462,7 +458,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, storage.StorageError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, ArithmeticError, RuntimeError, np.linalg.LinAlgError) as exc:

@@ -135,7 +135,9 @@ class RegNetFamily:
 
     ``members`` is a list of (alpha, NetworkParams) with alphas strictly
     descending; ``lipschitz_cap`` is the declared uniform bound on the
-    members' certified Lipschitz constants.
+    members' Lipschitz constants.  ``validate_lipschitz`` checks it against
+    ``network.lipschitz_upper_bound``, the closed-form bound from each
+    kernel's DFT symbol on the (n+2)^2 torus.
     """
 
     variant: str

@@ -16,6 +16,9 @@ Every writer appends a metadata footer (utf-8 "key=value" lines followed
 by their u64 byte length) after the declared payload; readers of the
 payload never need it, and it is where run provenance such as the config
 hash and seeds lives.  Writers are byte-deterministic for fixed inputs.
+Readers check the magic, the version, and every header field and declared
+payload size against the file length, and raise ``StorageError`` on a
+malformed or truncated file.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .linop import SvdOperator
 from .network import NetworkArch, NetworkParams
 
 __all__ = [
+    "StorageError",
     "write_operator",
     "read_operator",
     "write_array",
@@ -49,6 +53,10 @@ _MAGIC_ARRAY = b"RGN1"
 _MAGIC_MODEL = b"RGNN"
 _VERSION_OPERATOR = 1
 _VERSION_ARRAY = 2
+
+
+class StorageError(ValueError):
+    """A container file that is malformed or shorter than its header declares."""
 
 
 def _footer_bytes(meta: dict | None) -> bytes:
@@ -72,9 +80,28 @@ def _read_footer(blob: bytes) -> dict:
     return meta
 
 
-def _f64(blob: bytes, offset: int, count: int):
+def _need(blob: bytes, end: int, path):
+    if end > len(blob):
+        raise StorageError(f"{path}: truncated file ({len(blob)} bytes, at least {end} declared)")
+
+
+def _unpack(fmt: str, blob: bytes, offset: int, path):
+    end = offset + struct.calcsize(fmt)
+    _need(blob, end, path)
+    return struct.unpack(fmt, blob[offset:end]), end
+
+
+def _f64(blob: bytes, offset: int, count: int, path):
+    _need(blob, offset + 8 * count, path)
     arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
     return arr.astype(float), offset + 8 * count
+
+
+def _read_header(blob: bytes, magic: bytes, fmt: str, path):
+    """Check the 4-byte magic and unpack the fixed header after it."""
+    if blob[:4] != magic:
+        raise StorageError(f"{path}: not an {magic.decode()} container")
+    return _unpack(fmt, blob, 4, path)
 
 
 def write_operator(path, op: SvdOperator, meta: dict | None = None):
@@ -94,17 +121,14 @@ def write_operator(path, op: SvdOperator, meta: dict | None = None):
 
 def read_operator(path) -> SvdOperator:
     blob = Path(path).read_bytes()
-    if blob[:4] != _MAGIC_ARRAY:
-        raise ValueError(f"{path}: not an RGN1 container")
-    version, rows, cols = struct.unpack("<IQQ", blob[4:24])
+    (version, rows, cols), off = _read_header(blob, _MAGIC_ARRAY, "<IQQ", path)
     if version != _VERSION_OPERATOR:
-        raise ValueError(f"{path}: expected an operator file (version 1), got version {version}")
+        raise StorageError(f"{path}: expected an operator file (version 1), got version {version}")
     k = min(rows, cols)
-    off = 24
-    matrix, off = _f64(blob, off, rows * cols)
-    sigma, off = _f64(blob, off, k)
-    u, off = _f64(blob, off, cols * k)
-    v, off = _f64(blob, off, rows * k)
+    matrix, off = _f64(blob, off, rows * cols, path)
+    sigma, off = _f64(blob, off, k, path)
+    u, off = _f64(blob, off, cols * k, path)
+    v, off = _f64(blob, off, rows * k, path)
     meta = _read_footer(blob)
     return SvdOperator(
         matrix=matrix.reshape(rows, cols),
@@ -128,12 +152,10 @@ def write_array(path, array, meta: dict | None = None):
 
 def read_array(path) -> np.ndarray:
     blob = Path(path).read_bytes()
-    if blob[:4] != _MAGIC_ARRAY:
-        raise ValueError(f"{path}: not an RGN1 container")
-    version, rows, cols = struct.unpack("<IQQ", blob[4:24])
+    (version, rows, cols), off = _read_header(blob, _MAGIC_ARRAY, "<IQQ", path)
     if version != _VERSION_ARRAY:
-        raise ValueError(f"{path}: expected an array file (version 2), got version {version}")
-    data, _ = _f64(blob, 24, rows * cols)
+        raise StorageError(f"{path}: expected an array file (version 2), got version {version}")
+    data, _ = _f64(blob, off, rows * cols, path)
     return data.reshape(rows, cols)
 
 
@@ -154,23 +176,19 @@ def write_model(path, params: NetworkParams, meta: dict | None = None):
 
 def read_model(path) -> NetworkParams:
     blob = Path(path).read_bytes()
-    if blob[:4] != _MAGIC_MODEL:
-        raise ValueError(f"{path}: not an RGNN model file")
-    version, grid, n_layers, residual, seed = struct.unpack("<IQIBq", blob[4:29])
+    (version, grid, n_layers, residual, seed), off = _read_header(blob, _MAGIC_MODEL, "<IQIBq", path)
     if version != 1:
-        raise ValueError(f"{path}: unsupported model version {version}")
-    off = 29
+        raise StorageError(f"{path}: unsupported model version {version}")
     shapes = []
     for _ in range(n_layers):
-        cin, cout = struct.unpack("<II", blob[off : off + 8])
-        shapes.append((cin, cout))
-        off += 8
+        shape, off = _unpack("<II", blob, off, path)
+        shapes.append(shape)
     hidden = tuple(cout for _, cout in shapes[:-1])
     arch = NetworkArch(grid=int(grid), hidden=hidden, residual=bool(residual))
     layers = []
     for cin, cout in shapes:
-        w, off = _f64(blob, off, cout * cin * 9)
-        b, off = _f64(blob, off, cout)
+        w, off = _f64(blob, off, cout * cin * 9, path)
+        b, off = _f64(blob, off, cout, path)
         layers.append((w.reshape(cout, cin, 3, 3), b))
     return NetworkParams(arch=arch, layers=layers, seed=int(seed))
 

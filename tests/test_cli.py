@@ -144,6 +144,13 @@ class TestExitCodes:
         (workspace / "operator.rgn1").write_bytes(bytes(blob))
         assert run("evaluate", "--config", "run.cfg") == 2
 
+    def test_io_error_truncated_operator(self, workspace):
+        run("assemble", "--config", "run.cfg")
+        run("phantoms", "--config", "run.cfg")
+        blob = (workspace / "operator.rgn1").read_bytes()
+        (workspace / "operator.rgn1").write_bytes(blob[:3000])
+        assert run("evaluate", "--config", "run.cfg") == 3
+
     @pytest.mark.parametrize("cap_line", ["", "# lipschitz_cap=inf"])
     def test_numeric_error_manifest_without_finite_cap(self, workspace, cap_line):
         run("assemble", "--config", "run.cfg")

@@ -103,9 +103,11 @@ class TestGradients:
         assert loss == 0.0
         assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in grads)
 
-    def test_finite_difference_agreement(self, rng):
-        # 4x4 input, 2-layer net, composed with a fixed projection
-        arch = NetworkArch(grid=4, hidden=(3,))
+    @pytest.mark.parametrize("hidden", [(3,), (3, 2)])
+    def test_finite_difference_agreement(self, rng, hidden):
+        # 4x4 input, composed with a fixed projection; the 3->2 middle layer
+        # has a non-square kernel, so the adjoint's channel swap shows in values
+        arch = NetworkArch(grid=4, hidden=hidden)
         params = network.init_network(arch, 11)
         inputs = rng.standard_normal((3, 16))
         targets = rng.standard_normal((3, 16)) * 2.0
@@ -199,6 +201,17 @@ class TestLipschitz:
         num = np.linalg.norm(network.forward_batch(params, a) - network.forward_batch(params, b), axis=1)
         den = np.linalg.norm(a - b, axis=1)
         assert np.all(num <= bound * den)
+
+    @pytest.mark.parametrize("hidden", [(4,), (4, 4), (2, 3)])
+    @pytest.mark.parametrize("grid", [5, 6, 7, 8])
+    def test_at_least_the_dense_layer_norms(self, hidden, grid):
+        params = network.init_network(NetworkArch(grid=grid, hidden=hidden), grid)
+        exact = 1.0
+        for w, _ in params.layers:
+            basis = np.eye(w.shape[1] * grid * grid).reshape(-1, w.shape[1], grid, grid)
+            dense = network._conv3x3(basis, w).reshape(len(basis), -1).T
+            exact *= np.linalg.norm(dense, 2)
+        assert network.lipschitz_upper_bound(params) >= exact
 
     def test_residual_adds_one(self):
         arch = NetworkArch(grid=4, hidden=(2,), residual=True)

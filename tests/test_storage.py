@@ -89,6 +89,43 @@ class TestModelContainer:
         assert np.array_equal(back.layers[0][0], params.layers[0][0])
 
 
+def _operator_file(path, rng):
+    # 7 x 5: header 24 bytes, then 35 + 5 + 25 + 35 f64 values
+    storage.write_operator(path, svd_decompose(rng.standard_normal((7, 5))))
+
+
+def _array_file(path, rng):
+    storage.write_array(path, rng.standard_normal((5, 9)))
+
+
+def _model_file(path, rng):
+    # 1->3->2->1: header 29 bytes, 3 layer shapes of 8 bytes, then 27 + 3, 54 + 2, 18 + 1 f64
+    storage.write_model(path, network.init_network(NetworkArch(grid=6, hidden=(3, 2)), 1))
+
+
+class TestTruncatedContainers:
+    @pytest.mark.parametrize(
+        "write, read, cut",
+        [
+            (_operator_file, storage.read_operator, 10),
+            (_operator_file, storage.read_operator, 24 + 8 * 20),
+            (_operator_file, storage.read_operator, 24 + 8 * 100 - 1),
+            (_array_file, storage.read_array, 24 + 8 * 44),
+            (_model_file, storage.read_model, 20),
+            (_model_file, storage.read_model, 29 + 8 * 3 - 4),
+            (_model_file, storage.read_model, 53 + 8 * (27 + 3) + 100),
+        ],
+        ids=["operator-header", "operator-matrix", "operator-vectors", "array-rows",
+             "model-header", "model-shapes", "model-weights"],
+    )
+    def test_cut_file_rejected(self, tmp_path, rng, write, read, cut):
+        path = tmp_path / "file"
+        write(path, rng)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(storage.StorageError, match="truncated"):
+            read(path)
+
+
 class TestManifestPgmCsv:
     def test_manifest_roundtrip(self, tmp_path):
         entries = [(0.5, "model_000.rgnn"), (0.05, "model_001.rgnn")]
