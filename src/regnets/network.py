@@ -12,6 +12,10 @@ The Lipschitz bound is closed-form: each layer contributes the largest
 singular value of its kernel's DFT symbol on the (n+2)^2 torus, of which
 the zero-padded conv is a restriction.
 
+Activations are channel-major, (channels, batch, n, n), so the 1-channel
+ends are free reshapes of the (batch, n*n) rows.  Each layer builds one
+im2col patch matrix, shared by its forward conv and its weight gradient.
+
 Everything is float64 numpy and bit-deterministic for a fixed seed and
 batch order.
 """
@@ -108,78 +112,63 @@ def init_network(arch: NetworkArch, seed: int) -> NetworkParams:
     return NetworkParams(arch=arch, layers=layers, seed=int(seed))
 
 
+def _patches(x):
+    """im2col of a (c, k, n, n) stack: (9c, k*n*n), rows in w.reshape(cout, 9c) order."""
+    c, k, n, _ = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    taps = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
+    return taps.transpose(0, 4, 5, 1, 2, 3).reshape(9 * c, k * n * n)
+
+
 def _conv3x3(x, w, b=None):
-    # x: (k, cin, n, n), w: (cout, cin, 3, 3) -> (k, cout, n, n)
-    k, cin, n, _ = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    out = np.zeros((k, w.shape[0], n, n))
-    for dy in range(3):
-        for dx in range(3):
-            t = np.tensordot(xp[:, :, dy : dy + n, dx : dx + n], w[:, :, dy, dx], axes=([1], [1]))
-            out += np.moveaxis(t, 3, 1)
+    """(cin, k, n, n) -> (cout, k, n, n) zero-padded correlation, and its patch matrix."""
+    patches = _patches(x)
+    out = w.reshape(w.shape[0], -1) @ patches
     if b is not None:
-        out += b[None, :, None, None]
-    return out
-
-
-def _conv3x3_wgrad(x, g):
-    # gradient of <g, conv(x, w)> in w
-    k, cin, n, _ = x.shape
-    cout = g.shape[1]
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    dw = np.empty((cout, cin, 3, 3))
-    for dy in range(3):
-        for dx in range(3):
-            dw[:, :, dy, dx] = np.tensordot(g, xp[:, :, dy : dy + n, dx : dx + n], axes=([0, 2, 3], [0, 2, 3]))
-    return dw
+        out += b[:, None]
+    return out.reshape(w.shape[0], *x.shape[1:]), patches
 
 
 def _run_stack(params: NetworkParams, x4):
-    """Forward pass on a (k, 1, n, n) batch; returns output and caches."""
-    acts = [x4]  # inputs to each layer
-    pres = []  # pre-activation outputs of each layer
+    """Forward pass on a (1, k, n, n) batch: the output and per-layer (patches, pre-activation)."""
+    caches = []
     a = x4
-    last = params.arch.n_layers - 1
     for li, (w, b) in enumerate(params.layers):
-        z = _conv3x3(a, w, b)
-        pres.append(z)
-        a = np.maximum(z, 0.0) if li < last else z
-        if li < last:
-            acts.append(a)
+        z, patches = _conv3x3(a, w, b)
+        caches.append((patches, z))
+        a = np.maximum(z, 0.0) if li < params.arch.n_layers - 1 else z
     out = a + x4 if params.arch.residual else a
-    return out, acts, pres
+    if not np.all(np.isfinite(out)):
+        raise FloatingPointError("network forward pass produced non-finite values")
+    return out, caches
 
 
-def _backprop_stack(params: NetworkParams, acts, pres, gout):
-    """Parameter gradients of <gout, stack output>; ReLU subgradient 0 at 0."""
+def _backprop_stack(params: NetworkParams, caches, g):
+    """Parameter gradients of <g, stack output>; ReLU subgradient 0 at 0.  Consumes ``caches``."""
     grads = [None] * len(params.layers)
-    g = gout
     for li in range(len(params.layers) - 1, -1, -1):
         w, _ = params.layers[li]
-        grads[li] = (_conv3x3_wgrad(acts[li], g), g.sum(axis=(0, 2, 3)))
+        g2 = g.reshape(w.shape[0], -1)
+        grads[li] = ((g2 @ caches.pop()[0].T).reshape(w.shape), g2.sum(axis=1))  # frees the patches
         if li > 0:
             # adjoint of a zero-padded correlation: flipped taps, swapped channels
-            g = _conv3x3(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)) * (pres[li - 1] > 0)
+            g = _conv3x3(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))[0] * (caches[-1][1] > 0)
     return grads
 
 
 def _as_batch(params, flat):
     n = params.arch.grid
-    flat = np.asarray(flat, dtype=float)
-    if flat.ndim == 1:
-        flat = flat[None, :]
+    flat = np.atleast_2d(np.asarray(flat, dtype=float))
     if flat.shape[1] != n * n:
         raise ValueError(f"expected vectors of length {n * n}, got {flat.shape[1]}")
-    return flat.reshape(flat.shape[0], 1, n, n)
+    return flat.reshape(1, flat.shape[0], n, n)
 
 
 def forward_batch(params: NetworkParams, flat) -> np.ndarray:
     """Apply the net to rows of a (k, n*n) array; returns the same shape."""
     x4 = _as_batch(params, flat)
-    out, _, _ = _run_stack(params, x4)
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("network forward pass produced non-finite values")
-    return out.reshape(out.shape[0], -1)
+    out, _ = _run_stack(params, x4)
+    return out.reshape(out.shape[1], -1)
 
 
 def forward(params: NetworkParams, x) -> np.ndarray:
@@ -213,13 +202,11 @@ def grad_backprop(params: NetworkParams, inputs, targets, offsets=None, project=
     """
     x4 = _as_batch(params, inputs)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    k = x4.shape[0]
+    k = x4.shape[1]
     if targets.shape[0] != k:
         raise ValueError("inputs and targets disagree in batch size")
 
-    out, acts, pres = _run_stack(params, x4)
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("network forward pass produced non-finite values")
+    out, caches = _run_stack(params, x4)
     raw = out.reshape(k, -1)
     pred = project(raw) if project is not None else raw
     if offsets is not None:
@@ -230,9 +217,7 @@ def grad_backprop(params: NetworkParams, inputs, targets, offsets=None, project=
 
     gpred = -np.sign(resid) / k
     graw = project(gpred) if project is not None else gpred
-    gout = graw.reshape(out.shape)
-    grads = _backprop_stack(params, acts, pres, gout)
-    return loss, grads
+    return loss, _backprop_stack(params, caches, graw.reshape(out.shape))
 
 
 def sgd_momentum_step(params: NetworkParams, grads, state: TrainState):

@@ -13,12 +13,12 @@ item per row).  Model files use magic 'RGNN' with an architecture
 descriptor followed by the per-layer weight and bias arrays.
 
 Every writer appends a metadata footer (utf-8 "key=value" lines followed
-by their u64 byte length) after the declared payload; readers of the
-payload never need it, and it is where run provenance such as the config
-hash and seeds lives.  Writers are byte-deterministic for fixed inputs.
-Readers check the magic, the version, and every header field and declared
-payload size against the file length, and raise ``StorageError`` on a
-malformed or truncated file.
+by their u64 byte length) after the declared payload; it holds run
+provenance such as the config hash and seeds.  Writers are
+byte-deterministic for fixed inputs.  Readers check the magic, the
+version, every header field and declared payload size against the file
+length, and that the footer ends exactly at the end of the file; they
+raise ``StorageError`` on a malformed or truncated file.
 """
 
 from __future__ import annotations
@@ -65,19 +65,17 @@ def _footer_bytes(meta: dict | None) -> bytes:
     return body + struct.pack("<Q", len(body))
 
 
-def _read_footer(blob: bytes) -> dict:
-    if len(blob) < 8:
-        return {}
+def _read_footer(blob: bytes, end: int, path) -> dict:
+    """The key=value footer after a payload that ends at ``end``; it must end the file."""
+    _need(blob, end + 8, path)
     (length,) = struct.unpack("<Q", blob[-8:])
-    if length > len(blob) - 8:
-        return {}
-    body = blob[len(blob) - 8 - length : len(blob) - 8].decode("utf-8")
-    meta = {}
-    for line in body.splitlines():
-        if "=" in line:
-            key, _, value = line.partition("=")
-            meta[key] = value
-    return meta
+    if end + length + 8 != len(blob):
+        raise StorageError(f"{path}: truncated or malformed metadata footer ({length} bytes declared)")
+    try:
+        lines = blob[end:-8].decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise StorageError(f"{path}: metadata footer is not utf-8") from exc
+    return dict(line.partition("=")[::2] for line in lines if "=" in line)
 
 
 def _need(blob: bytes, end: int, path):
@@ -119,8 +117,7 @@ def write_operator(path, op: SvdOperator, meta: dict | None = None):
     Path(path).write_bytes(b"".join(parts))
 
 
-def read_operator(path) -> SvdOperator:
-    blob = Path(path).read_bytes()
+def _decode_operator(blob: bytes, path):
     (version, rows, cols), off = _read_header(blob, _MAGIC_ARRAY, "<IQQ", path)
     if version != _VERSION_OPERATOR:
         raise StorageError(f"{path}: expected an operator file (version 1), got version {version}")
@@ -129,14 +126,18 @@ def read_operator(path) -> SvdOperator:
     sigma, off = _f64(blob, off, k, path)
     u, off = _f64(blob, off, cols * k, path)
     v, off = _f64(blob, off, rows * k, path)
-    meta = _read_footer(blob)
+    meta = _read_footer(blob, off, path)
     return SvdOperator(
         matrix=matrix.reshape(rows, cols),
         image_vectors=u.reshape(cols, k),
         data_vectors=v.reshape(rows, k),
         singular_values=sigma,
         rank_tol=float(meta.get("rank_tol", 1e-10)),
-    )
+    ), meta
+
+
+def read_operator(path) -> SvdOperator:
+    return _decode_operator(Path(path).read_bytes(), path)[0]
 
 
 def write_array(path, array, meta: dict | None = None):
@@ -150,13 +151,16 @@ def write_array(path, array, meta: dict | None = None):
     Path(path).write_bytes(b"".join(parts))
 
 
-def read_array(path) -> np.ndarray:
-    blob = Path(path).read_bytes()
+def _decode_array(blob: bytes, path):
     (version, rows, cols), off = _read_header(blob, _MAGIC_ARRAY, "<IQQ", path)
     if version != _VERSION_ARRAY:
         raise StorageError(f"{path}: expected an array file (version 2), got version {version}")
-    data, _ = _f64(blob, off, rows * cols, path)
-    return data.reshape(rows, cols)
+    data, off = _f64(blob, off, rows * cols, path)
+    return data.reshape(rows, cols), _read_footer(blob, off, path)
+
+
+def read_array(path) -> np.ndarray:
+    return _decode_array(Path(path).read_bytes(), path)[0]
 
 
 def write_model(path, params: NetworkParams, meta: dict | None = None):
@@ -174,8 +178,7 @@ def write_model(path, params: NetworkParams, meta: dict | None = None):
     Path(path).write_bytes(b"".join(head + body) + _footer_bytes(meta))
 
 
-def read_model(path) -> NetworkParams:
-    blob = Path(path).read_bytes()
+def _decode_model(blob: bytes, path):
     (version, grid, n_layers, residual, seed), off = _read_header(blob, _MAGIC_MODEL, "<IQIBq", path)
     if version != 1:
         raise StorageError(f"{path}: unsupported model version {version}")
@@ -190,11 +193,21 @@ def read_model(path) -> NetworkParams:
         w, off = _f64(blob, off, cout * cin * 9, path)
         b, off = _f64(blob, off, cout, path)
         layers.append((w.reshape(cout, cin, 3, 3), b))
-    return NetworkParams(arch=arch, layers=layers, seed=int(seed))
+    return NetworkParams(arch=arch, layers=layers, seed=int(seed)), _read_footer(blob, off, path)
+
+
+def read_model(path) -> NetworkParams:
+    return _decode_model(Path(path).read_bytes(), path)[0]
 
 
 def read_metadata(path) -> dict:
-    return _read_footer(Path(path).read_bytes())
+    """The footer of an operator, array or model file, after checking its payload."""
+    blob = Path(path).read_bytes()
+    if blob[:4] == _MAGIC_MODEL:
+        return _decode_model(blob, path)[1]
+    if blob[4:8] == struct.pack("<I", _VERSION_OPERATOR):
+        return _decode_operator(blob, path)[1]
+    return _decode_array(blob, path)[1]
 
 
 def write_manifest(path, entries, meta: dict | None = None):

@@ -151,6 +151,15 @@ class TestExitCodes:
         (workspace / "operator.rgn1").write_bytes(blob[:3000])
         assert run("evaluate", "--config", "run.cfg") == 3
 
+    def test_io_error_operator_cut_in_footer(self, workspace):
+        # the last 3 bytes are the high bytes of the footer length; without
+        # the footer check this read back silently with rank_tol=1e-10
+        run("assemble", "--config", "run.cfg")
+        run("phantoms", "--config", "run.cfg")
+        blob = (workspace / "operator.rgn1").read_bytes()
+        (workspace / "operator.rgn1").write_bytes(blob[:-3])
+        assert run("evaluate", "--config", "run.cfg") == 3
+
     @pytest.mark.parametrize("cap_line", ["", "# lipschitz_cap=inf"])
     def test_numeric_error_manifest_without_finite_cap(self, workspace, cap_line):
         run("assemble", "--config", "run.cfg")

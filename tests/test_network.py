@@ -60,6 +60,33 @@ class TestInitForward:
         np.testing.assert_array_equal(network.forward(params, x), x)
 
 
+class TestConv:
+    @pytest.mark.parametrize("cin, cout, grid", [(1, 3, 4), (3, 2, 5), (2, 1, 6)])
+    def test_matches_direct_loop(self, rng, cin, cout, grid):
+        # (cin, k, n, n) input, zero padding outside the grid:
+        #   out[o, j, r, s] = b[o] + sum_{c, dy, dx} w[o, c, dy, dx] * x[c, j, r + dy - 1, s + dx - 1]
+        k = 2
+        x = rng.standard_normal((cin, k, grid, grid))
+        w = rng.standard_normal((cout, cin, 3, 3))
+        b = rng.standard_normal(cout)
+        ref = np.empty((cout, k, grid, grid))
+        for o in range(cout):
+            for j in range(k):
+                for r in range(grid):
+                    for s in range(grid):
+                        acc = b[o]
+                        for c in range(cin):
+                            for dy in range(3):
+                                for dx in range(3):
+                                    ri, si = r + dy - 1, s + dx - 1
+                                    if 0 <= ri < grid and 0 <= si < grid:
+                                        acc += w[o, c, dy, dx] * x[c, j, ri, si]
+                        ref[o, j, r, s] = acc
+        out, patches = network._conv3x3(x, w, b)
+        assert patches.shape == (9 * cin, k * grid * grid)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 class TestLossMae:
     def test_zero_when_prediction_matches(self):
         params = zero_params(NetworkArch(grid=3, hidden=()))
@@ -103,12 +130,18 @@ class TestGradients:
         assert loss == 0.0
         assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in grads)
 
-    @pytest.mark.parametrize("hidden", [(3,), (3, 2)])
-    def test_finite_difference_agreement(self, rng, hidden):
+    @pytest.mark.parametrize(
+        "hidden, residual",
+        [((3,), False), ((3, 2), False), ((3, 2), True)],
+        ids=["hidden0", "hidden1", "hidden1-residual"],
+    )
+    def test_finite_difference_agreement(self, rng, hidden, residual):
         # 4x4 input, composed with a fixed projection; the 3->2 middle layer
         # has a non-square kernel, so the adjoint's channel swap shows in values
-        arch = NetworkArch(grid=4, hidden=hidden)
+        arch = NetworkArch(grid=4, hidden=hidden, residual=residual)
         params = network.init_network(arch, 11)
+        for _, b in params.layers:
+            b[:] = 0.1 * rng.standard_normal(b.shape)
         inputs = rng.standard_normal((3, 16))
         targets = rng.standard_normal((3, 16)) * 2.0
         project = self._projection(rng, 16)
@@ -117,16 +150,18 @@ class TestGradients:
         eps = 1e-6
         checked = 0
         for li, (w, b) in enumerate(params.layers):
-            for _ in range(12):
-                idx = tuple(rng.integers(0, s) for s in w.shape)
-                orig = w[idx]
-                w[idx] = orig + eps
+            picks = [(0, tuple(rng.integers(0, s) for s in w.shape)) for _ in range(12)]
+            picks += [(1, (j,)) for j in range(b.size)]
+            for part, idx in picks:
+                arr = params.layers[li][part]
+                orig = arr[idx]
+                arr[idx] = orig + eps
                 up, _ = network.grad_backprop(params, inputs, targets, project=project)
-                w[idx] = orig - eps
+                arr[idx] = orig - eps
                 down, _ = network.grad_backprop(params, inputs, targets, project=project)
-                w[idx] = orig
+                arr[idx] = orig
                 fd = (up - down) / (2 * eps)
-                bp = grads[li][0][idx]
+                bp = grads[li][part][idx]
                 assert abs(fd - bp) <= 1e-4 * max(abs(fd), abs(bp), 1e-8)
                 checked += 1
         assert checked >= 20
@@ -209,7 +244,8 @@ class TestLipschitz:
         exact = 1.0
         for w, _ in params.layers:
             basis = np.eye(w.shape[1] * grid * grid).reshape(-1, w.shape[1], grid, grid)
-            dense = network._conv3x3(basis, w).reshape(len(basis), -1).T
+            out, _ = network._conv3x3(basis.transpose(1, 0, 2, 3), w)
+            dense = out.transpose(1, 0, 2, 3).reshape(len(basis), -1).T
             exact *= np.linalg.norm(dense, 2)
         assert network.lipschitz_upper_bound(params) >= exact
 

@@ -89,18 +89,18 @@ class TestModelContainer:
         assert np.array_equal(back.layers[0][0], params.layers[0][0])
 
 
-def _operator_file(path, rng):
+def _operator_file(path, rng, meta=None):
     # 7 x 5: header 24 bytes, then 35 + 5 + 25 + 35 f64 values
-    storage.write_operator(path, svd_decompose(rng.standard_normal((7, 5))))
+    storage.write_operator(path, svd_decompose(rng.standard_normal((7, 5))), meta)
 
 
-def _array_file(path, rng):
-    storage.write_array(path, rng.standard_normal((5, 9)))
+def _array_file(path, rng, meta=None):
+    storage.write_array(path, rng.standard_normal((5, 9)), meta)
 
 
-def _model_file(path, rng):
+def _model_file(path, rng, meta=None):
     # 1->3->2->1: header 29 bytes, 3 layer shapes of 8 bytes, then 27 + 3, 54 + 2, 18 + 1 f64
-    storage.write_model(path, network.init_network(NetworkArch(grid=6, hidden=(3, 2)), 1))
+    storage.write_model(path, network.init_network(NetworkArch(grid=6, hidden=(3, 2)), 1), meta)
 
 
 class TestTruncatedContainers:
@@ -124,6 +124,32 @@ class TestTruncatedContainers:
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(storage.StorageError, match="truncated"):
             read(path)
+
+    @pytest.mark.parametrize("short", [1, 3, 8, 12])
+    @pytest.mark.parametrize(
+        "write, read",
+        [(_operator_file, storage.read_operator), (_array_file, storage.read_array),
+         (_model_file, storage.read_model)],
+        ids=["operator", "array", "model"],
+    )
+    def test_cut_footer_rejected(self, tmp_path, rng, write, read, short):
+        # every footer here is longer than 12 bytes, so each cut ends inside it
+        path = tmp_path / "file"
+        write(path, rng, meta={"config": "deadbeef"})
+        blob = path.read_bytes()
+        assert storage.read_metadata(path)["config"] == "deadbeef"
+        path.write_bytes(blob[:-short])
+        with pytest.raises(storage.StorageError, match="footer"):
+            read(path)
+        with pytest.raises(storage.StorageError, match="footer"):
+            storage.read_metadata(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path, rng):
+        path = tmp_path / "file"
+        _model_file(path, rng)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(storage.StorageError, match="footer"):
+            storage.read_model(path)
 
 
 class TestManifestPgmCsv:
