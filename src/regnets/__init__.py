@@ -32,14 +32,12 @@ from .network import (
     grad_backprop,
     init_network,
     lipschitz_upper_bound,
-    loss_mae,
     sgd_momentum_step,
     train,
 )
 from .radon import (
     Phantom,
     RadonGeometry,
-    Sinogram,
     add_noise,
     add_noise_exact,
     assemble_matrix,

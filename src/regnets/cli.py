@@ -115,24 +115,13 @@ def _parse_floats(text: str):
     return values
 
 
-_BOOL_KEYS = {"paper_scale", "residual"}
-_INT_KEYS = {
-    "grid_n", "n_angles", "n_detectors", "epochs", "batch_size",
-    "train_count", "test_count", "seed", "recon_index",
-}
-_FLOAT_KEYS = {
-    "kb_support", "kb_shape", "rank_tol", "landweber_beta", "lr", "momentum",
-    "mu", "rho", "scale_c", "lambda_max",
-}
-
-
 def _coerce(key: str, value: str):
-    if key in _BOOL_KEYS:
+    """Parse a config value by the type of the field's default."""
+    kind = type(getattr(RunConfig, key))
+    if kind is bool:
         return str(value).strip().lower() in ("1", "true", "yes", "on")
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
+    if kind in (int, float):
+        return kind(value)
     return value
 
 
@@ -280,7 +269,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     op = storage.read_operator(cfg.operator_path)
     filt = _make_cfg_filter(cfg, op)
     truths = storage.read_array(cfg.test_path)
-    if cfg.recon_index >= truths.shape[0]:
+    if not 0 <= cfg.recon_index < truths.shape[0]:
         raise ValueError(f"recon_index {cfg.recon_index} out of range for {truths.shape[0]} test images")
     truth = truths[cfg.recon_index]
     grid_n = int(round(op.cols**0.5))

@@ -34,7 +34,6 @@ __all__ = [
     "init_network",
     "forward",
     "forward_batch",
-    "loss_mae",
     "grad_backprop",
     "sgd_momentum_step",
     "train",
@@ -174,21 +173,6 @@ def forward_batch(params: NetworkParams, flat) -> np.ndarray:
 def forward(params: NetworkParams, x) -> np.ndarray:
     """Apply the net to one flattened n*n image."""
     return forward_batch(params, np.asarray(x, dtype=float)[None, :])[0]
-
-
-def loss_mae(params: NetworkParams, pairs) -> float:
-    """Batch-mean l1 distance between targets and network outputs.
-
-    The l1 norm sums absolute entries over the image, the mean runs over
-    the batch.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("empty batch")
-    inputs = np.stack([np.asarray(p[0], dtype=float) for p in pairs])
-    targets = np.stack([np.asarray(p[1], dtype=float) for p in pairs])
-    out = forward_batch(params, inputs)
-    return float(np.abs(targets - out).sum(axis=1).mean())
 
 
 def grad_backprop(params: NetworkParams, inputs, targets, offsets=None, project=None):

@@ -24,9 +24,7 @@ import numpy as np
 __all__ = [
     "RadonGeometry",
     "Phantom",
-    "Sinogram",
     "Ellipse",
-    "i0",
     "kb_value",
     "kb_line_integral",
     "assemble_matrix",
@@ -37,70 +35,11 @@ __all__ = [
 
 Ellipse = namedtuple("Ellipse", "cx cy ax ay tilt value")
 
-# asymptotic series coefficients ((2k-1)!!)^2 / (k! 8^k)
-_I0_ASYMPTOTIC_TERMS = 25
-_I0_SWITCH = 18.0
-
-
-def _i0_asymptotic_coeffs():
-    coeffs = [1.0]
-    c = 1.0
-    for k in range(1, _I0_ASYMPTOTIC_TERMS):
-        c *= (2 * k - 1) ** 2 / (8.0 * k)
-        coeffs.append(c)
-    return np.array(coeffs)
-
-
-_I0_COEFFS = _i0_asymptotic_coeffs()
-
-
-def i0(x):
-    """Modified Bessel function of the first kind, order zero.
-
-    Power series below x = 18, asymptotic expansion above; relative
-    accuracy around 1e-14 over the float64 range (overflows past ~709,
-    like exp).
-
-    The power series stops at the first term that is at most 1e-17 of the
-    partial sum of the largest argument.  For every term index that ratio
-    grows with x, so smaller arguments never converge later; the terms
-    they still receive lie below half an ulp of their sums, which keeps
-    each element bit-identical to a scalar call on it.
-    """
-    x = np.abs(np.asarray(x, dtype=float))
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-
-    small = x <= _I0_SWITCH
-    if np.any(small):
-        t = 0.25 * x[small] ** 2
-        largest = int(np.argmax(t))
-        term = np.ones_like(t)
-        acc = np.ones_like(t)
-        for k in range(1, 80):
-            term *= t / (k * k)
-            acc += term
-            if term[largest] <= 1e-17 * acc[largest]:
-                break
-        out[small] = acc
-
-    if np.any(~small):
-        z = x[~small]
-        series = np.zeros_like(z)
-        zk = np.ones_like(z)
-        for c in _I0_COEFFS:
-            series += c * zk
-            zk /= z
-        out[~small] = np.exp(z) / np.sqrt(2.0 * np.pi * z) * series
-
-    return float(out[0]) if scalar else out
-
 
 @functools.lru_cache(maxsize=16)
 def _kb_norm(rho: float) -> float:
     """I0(rho), the blob normaliser, computed once per shape parameter."""
-    return i0(rho)
+    return float(np.i0(rho))
 
 
 def kb_value(r, a: float, rho: float):
@@ -111,7 +50,7 @@ def kb_value(r, a: float, rho: float):
     scalar = r.ndim == 0
     r = np.atleast_1d(np.abs(r))
     w = np.clip(1.0 - (r / a) ** 2, 0.0, None)
-    val = np.where(r <= a, i0(rho * np.sqrt(w)) / _kb_norm(float(rho)), 0.0)
+    val = np.where(r <= a, np.i0(rho * np.sqrt(w)) / _kb_norm(float(rho)), 0.0)
     return float(val[0]) if scalar else val
 
 
@@ -216,16 +155,6 @@ class Phantom:
     coeffs: np.ndarray
     seed: int
     ellipses: tuple
-
-
-@dataclass(frozen=True)
-class Sinogram:
-    """Forward data with the noise convention that produced it recorded."""
-
-    values: np.ndarray
-    geometry: RadonGeometry | None = None
-    delta: float = 0.0
-    noise_seed: int | None = None
 
 
 def gen_phantom(

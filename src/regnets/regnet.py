@@ -135,9 +135,9 @@ class RegNetFamily:
 
     ``members`` is a list of (alpha, NetworkParams) with alphas strictly
     descending; ``lipschitz_cap`` is the declared uniform bound on the
-    members' Lipschitz constants.  ``validate_lipschitz`` checks it against
-    ``network.lipschitz_upper_bound``, the closed-form bound from each
-    kernel's DFT symbol on the (n+2)^2 torus.
+    members' Lipschitz constants; ``regnets train`` records the largest
+    ``network.lipschitz_upper_bound`` of the members, the closed-form bound
+    from each kernel's DFT symbol on the (n+2)^2 torus.
     """
 
     variant: str
@@ -167,15 +167,6 @@ class RegNetFamily:
         """Member with the closest alpha on a log scale."""
         idx = int(np.argmin(np.abs(np.log(self.alphas) - np.log(alpha))))
         return self.method(idx)
-
-    def max_lipschitz(self) -> float:
-        return max(network.lipschitz_upper_bound(p) for _, p in self.members)
-
-    def validate_lipschitz(self):
-        worst = self.max_lipschitz()
-        if worst > self.lipschitz_cap * (1.0 + 1e-12):
-            raise ValueError(f"member Lipschitz bound {worst} exceeds the declared cap {self.lipschitz_cap}")
-        return worst
 
 
 @dataclass

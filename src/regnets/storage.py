@@ -102,19 +102,23 @@ def _read_header(blob: bytes, magic: bytes, fmt: str, path):
     return _unpack(fmt, blob, 4, path)
 
 
+def _write_container(path, head: bytes, arrays, meta: dict | None):
+    """Header bytes, then each array as little-endian f64 in order, then the
+    footer.  The arrays go to the file through the buffer protocol, so no
+    bytes copy of the payload is made."""
+    with open(path, "wb") as f:
+        f.write(head)
+        for a in arrays:
+            f.write(np.ascontiguousarray(a, dtype="<f8"))
+        f.write(_footer_bytes(meta))
+
+
 def write_operator(path, op: SvdOperator, meta: dict | None = None):
     meta = dict(meta or {})
     meta.setdefault("rank_tol", repr(op.rank_tol))
-    parts = [
-        _MAGIC_ARRAY,
-        struct.pack("<IQQ", _VERSION_OPERATOR, op.rows, op.cols),
-        np.ascontiguousarray(op.matrix, dtype="<f8").tobytes(),
-        np.ascontiguousarray(op.singular_values, dtype="<f8").tobytes(),
-        np.ascontiguousarray(op.image_vectors, dtype="<f8").tobytes(),
-        np.ascontiguousarray(op.data_vectors, dtype="<f8").tobytes(),
-        _footer_bytes(meta),
-    ]
-    Path(path).write_bytes(b"".join(parts))
+    head = _MAGIC_ARRAY + struct.pack("<IQQ", _VERSION_OPERATOR, op.rows, op.cols)
+    arrays = (op.matrix, op.singular_values, op.image_vectors, op.data_vectors)
+    _write_container(path, head, arrays, meta)
 
 
 def _decode_operator(blob: bytes, path):
@@ -142,13 +146,8 @@ def read_operator(path) -> SvdOperator:
 
 def write_array(path, array, meta: dict | None = None):
     array = np.atleast_2d(np.asarray(array, dtype=float))
-    parts = [
-        _MAGIC_ARRAY,
-        struct.pack("<IQQ", _VERSION_ARRAY, array.shape[0], array.shape[1]),
-        np.ascontiguousarray(array, dtype="<f8").tobytes(),
-        _footer_bytes(meta),
-    ]
-    Path(path).write_bytes(b"".join(parts))
+    head = _MAGIC_ARRAY + struct.pack("<IQQ", _VERSION_ARRAY, array.shape[0], array.shape[1])
+    _write_container(path, head, (array,), meta)
 
 
 def _decode_array(blob: bytes, path):
@@ -165,17 +164,10 @@ def read_array(path) -> np.ndarray:
 
 def write_model(path, params: NetworkParams, meta: dict | None = None):
     arch = params.arch
-    head = [
-        _MAGIC_MODEL,
-        struct.pack("<IQIBq", 1, arch.grid, arch.n_layers, int(arch.residual), params.seed),
-    ]
-    for w, _ in params.layers:
-        head.append(struct.pack("<II", w.shape[1], w.shape[0]))
-    body = []
-    for w, b in params.layers:
-        body.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        body.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(head + body) + _footer_bytes(meta))
+    shapes = [n for w, _ in params.layers for n in (w.shape[1], w.shape[0])]
+    fields = (1, arch.grid, arch.n_layers, int(arch.residual), params.seed, *shapes)
+    head = _MAGIC_MODEL + struct.pack(f"<IQIBq{len(shapes)}I", *fields)
+    _write_container(path, head, [a for layer in params.layers for a in layer], meta)
 
 
 def _decode_model(blob: bytes, path):
@@ -231,7 +223,10 @@ def read_manifest(path):
                 meta[key] = value
             continue
         fields = dict(part.partition("=")[::2] for part in line.split())
-        entries.append((float(fields["alpha"]), fields["model"]))
+        try:
+            entries.append((float(fields["alpha"]), fields["model"]))
+        except (KeyError, ValueError) as exc:
+            raise StorageError(f"{path}: malformed manifest entry {line!r}") from exc
     return entries, meta
 
 

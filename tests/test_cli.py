@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,29 @@ class TestConfig:
         with pytest.raises(ValueError):
             load_config("bad.cfg")
         assert run("assemble", "--config", "bad.cfg") == 1
+
+    def test_every_default_round_trips_through_text(self, workspace):
+        # each key's type comes from its field default; writing every default
+        # as key=value text must read back as RunConfig()
+        defaults = RunConfig()
+        text = "".join(f"{f.name}={getattr(defaults, f.name)}\n" for f in fields(RunConfig))
+        (workspace / "defaults.cfg").write_text(text)
+        assert load_config("defaults.cfg") == defaults
+
+    @pytest.mark.parametrize(
+        "line, want",
+        [("residual=yes", True), ("residual=off", False), ("seed=12", 12), ("lr=2e-3", 2e-3), ("seed=1.5", None)],
+    )
+    def test_values_parse_by_field_type(self, workspace, line, want):
+        (workspace / "one.cfg").write_text(line + "\n")
+        key = line.partition("=")[0]
+        if want is None:
+            with pytest.raises(ValueError):
+                load_config("one.cfg")
+            assert run("assemble", "--config", "one.cfg") == 1
+        else:
+            value = getattr(load_config("one.cfg"), key)
+            assert value == want and type(value) is type(want)
 
     def test_hash_stable_and_sensitive(self):
         a = RunConfig()
@@ -170,3 +195,22 @@ class TestExitCodes:
         lines = [cap_line if line.startswith("# lipschitz_cap=") else line for line in lines]
         manifest.write_text("\n".join(lines) + "\n")
         assert run("evaluate", "--config", "run.cfg") == 2
+
+    @pytest.mark.parametrize("entry", ["model=models/x.rgnn", "alpha=2e-3", "alpha=abc model=x"])
+    def test_io_error_malformed_manifest_entry(self, workspace, entry):
+        run("assemble", "--config", "run.cfg")
+        run("phantoms", "--config", "run.cfg")
+        assert run("train", "--config", "run.cfg") == 0
+        manifest = workspace / "models" / "continued" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        lines = [entry if line.startswith("alpha=") else line for line in lines]
+        manifest.write_text("\n".join(lines) + "\n")
+        assert run("evaluate", "--config", "run.cfg") == 3
+
+    @pytest.mark.parametrize("index", [-1, -7, 3])
+    def test_numeric_error_recon_index_out_of_range(self, workspace, index):
+        # three test images: only 0, 1 and 2 name one
+        run("assemble", "--config", "run.cfg")
+        run("phantoms", "--config", "run.cfg")
+        (workspace / "pick.cfg").write_text(TINY_CONFIG + f"recon_index={index}\n")
+        assert run("reconstruct", "--config", "pick.cfg") == 2

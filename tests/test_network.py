@@ -88,28 +88,30 @@ class TestConv:
 
 
 class TestLossMae:
+    """The loss that grad_backprop returns: batch-mean l1 distance."""
+
+    @staticmethod
+    def loss(params, pairs):
+        inputs, targets = zip(*pairs)
+        return network.grad_backprop(params, np.stack(inputs), np.stack(targets))[0]
+
     def test_zero_when_prediction_matches(self):
         params = zero_params(NetworkArch(grid=3, hidden=()))
         pairs = [(np.zeros(9), np.zeros(9))]
-        assert network.loss_mae(params, pairs) == 0.0
+        assert self.loss(params, pairs) == 0.0
 
     def test_all_ones_residual_gives_grid_size(self):
         params = zero_params(NetworkArch(grid=3, hidden=()))
         pairs = [(np.zeros(9), np.ones(9))]
-        assert network.loss_mae(params, pairs) == 9.0
+        assert self.loss(params, pairs) == 9.0
 
     def test_batch_average(self, rng):
         params = zero_params(NetworkArch(grid=3, hidden=()))
         t1, t2 = rng.standard_normal(9), rng.standard_normal(9)
-        a = network.loss_mae(params, [(np.zeros(9), t1)])
-        b = network.loss_mae(params, [(np.zeros(9), t2)])
-        ab = network.loss_mae(params, [(np.zeros(9), t1), (np.zeros(9), t2)])
+        a = self.loss(params, [(np.zeros(9), t1)])
+        b = self.loss(params, [(np.zeros(9), t2)])
+        ab = self.loss(params, [(np.zeros(9), t1), (np.zeros(9), t2)])
         assert ab == pytest.approx((a + b) / 2, rel=1e-15)
-
-    def test_empty_batch_rejected(self):
-        params = zero_params(NetworkArch(grid=3, hidden=()))
-        with pytest.raises(ValueError):
-            network.loss_mae(params, [])
 
 
 class TestGradients:
@@ -289,3 +291,8 @@ class TestTraining:
         state = TrainState(lr=1e6, momentum=0.99)
         with pytest.raises(FloatingPointError):
             network.train(params, state, inputs, targets, epochs=50, batch_size=4)
+
+    def test_empty_training_set_rejected(self):
+        params = network.init_network(NetworkArch(grid=3, hidden=()), 0)
+        with pytest.raises(ValueError):
+            network.train(params, TrainState(lr=1e-3, momentum=0.5), np.zeros((0, 9)), np.zeros((0, 9)))

@@ -32,25 +32,24 @@ def quad_line_integral(s, a, rho):
     return val
 
 
-class TestBessel:
+def besseli0(x) -> float:
+    return float(mpmath.besseli(0, x))
+
+
+class TestBlobClosedForm:
+    A = 0.055
+
     def test_against_mpmath(self):
-        xs = np.concatenate([np.linspace(0.0, 30.0, 61), [50.0, 120.0, 400.0, 700.0]])
-        for x in xs:
-            ref = float(mpmath.besseli(0, mpmath.mpf(float(x))))
-            assert radon.i0(float(x)) == pytest.approx(ref, rel=1e-12)
-
-    def test_vectorized(self):
-        xs = np.array([0.0, 1.0, 7.0, 20.0])
-        np.testing.assert_allclose(radon.i0(xs), [radon.i0(float(x)) for x in xs], rtol=1e-14)
-
-    def test_mixed_magnitudes_match_scalar_calls(self, rng):
-        # the series stops on the largest argument; smaller ones must not lose terms
-        xs = rng.permutation([0.0, 1e-3, 5.0, 17.9, 18.0, 18.1, 700.0])
-        got = radon.i0(xs)
-        assert np.array_equal(got, [radon.i0(float(x)) for x in xs])
-        for x, value in zip(xs, got):
-            ref = float(mpmath.besseli(0, mpmath.mpf(float(x))))
-            assert value == pytest.approx(ref, rel=1e-12)
+        # the profile and its line integral against their closed forms in mpmath
+        for rho in (3.0, 7.0, 12.5):
+            norm = mpmath.besseli(0, rho)
+            for t in np.linspace(-1.0, 1.0, 41):
+                root = mpmath.sqrt(1 - mpmath.mpf(float(t)) ** 2)
+                profile = float(mpmath.besseli(0, rho * root) / norm)
+                assert radon.kb_value(abs(t) * self.A, self.A, rho) == pytest.approx(profile, rel=1e-12)
+                if abs(t) < 1.0:
+                    line = float(2 * self.A / (rho * norm) * mpmath.sinh(rho * root))
+                    assert radon.kb_line_integral(t * self.A, self.A, rho) == pytest.approx(line, rel=1e-12)
 
 
 class TestBlobProfile:
@@ -60,7 +59,7 @@ class TestBlobProfile:
         assert radon.kb_value(0.0, self.A, self.RHO) == 1.0
 
     def test_edge_value(self):
-        want = 1.0 / radon.i0(self.RHO)
+        want = 1.0 / besseli0(self.RHO)
         assert radon.kb_value(self.A, self.A, self.RHO) == pytest.approx(want, rel=1e-14)
 
     def test_outside_support(self):
@@ -68,7 +67,7 @@ class TestBlobProfile:
 
     def test_normaliser_follows_rho(self):
         for rho in (self.RHO, 3.0, self.RHO, 3.0):
-            want = 1.0 / radon.i0(rho)
+            want = 1.0 / besseli0(rho)
             assert radon.kb_value(self.A, self.A, rho) == pytest.approx(want, rel=1e-14)
 
     def test_half_radius_matches_series(self):
@@ -182,13 +181,6 @@ class TestAssembly:
     def test_desk_scale_dimensions(self):
         geom = RadonGeometry.desk()
         assert (geom.rows, geom.cols) == (960, 4096)
-
-    def test_sinogram_records_noise_convention(self, rng):
-        geom = RadonGeometry(grid_n=4, n_angles=2, n_detectors=3)
-        y = rng.standard_normal(geom.rows)
-        sino = radon.Sinogram(values=radon.add_noise(y, 0.05, 9), geometry=geom, delta=0.05, noise_seed=9)
-        assert sino.values.shape == (geom.rows,)
-        assert sino.delta == 0.05 and sino.noise_seed == 9
 
 
 class TestPhantoms:

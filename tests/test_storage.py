@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -27,17 +29,37 @@ class TestOperatorContainer:
         assert meta["seed"] == "42"
 
     def test_declared_header_layout(self, tmp_path, rng):
+        # each container is its header, its f64 arrays in order, then the footer
         op = svd_decompose(rng.standard_normal((3, 2)))
-        path = tmp_path / "op.rgn1"
-        storage.write_operator(path, op)
-        blob = path.read_bytes()
-        assert blob[:4] == b"RGN1"
-        import struct
-
-        version, rows, cols = struct.unpack("<IQQ", blob[4:24])
-        assert (version, rows, cols) == (1, 3, 2)
-        matrix = np.frombuffer(blob, dtype="<f8", count=6, offset=24).reshape(3, 2)
-        assert np.array_equal(matrix, op.matrix)
+        data = rng.standard_normal((4, 3))[:, ::2]
+        params = network.init_network(NetworkArch(grid=4, hidden=(3,), residual=True), 5)
+        (w0, b0), (w1, b1) = params.layers
+        cases = [
+            (
+                lambda p: storage.write_operator(p, op, {"seed": 42}),
+                b"RGN1" + struct.pack("<IQQ", 1, 3, 2),
+                [op.matrix, op.singular_values, op.image_vectors, op.data_vectors],
+                f"rank_tol={op.rank_tol!r}\nseed=42\n",
+            ),
+            (
+                lambda p: storage.write_array(p, data, {"count": 4}),
+                b"RGN1" + struct.pack("<IQQ", 2, 4, 2),
+                [data],
+                "count=4\n",
+            ),
+            (
+                lambda p: storage.write_model(p, params, None),
+                b"RGNN" + struct.pack("<IQIBq", 1, 4, 2, 1, 5) + struct.pack("<IIII", 1, 3, 3, 1),
+                [w0, b0, w1, b1],
+                "",
+            ),
+        ]
+        for i, (write, head, arrays, footer) in enumerate(cases):
+            path = tmp_path / f"c{i}.bin"
+            write(path)
+            payload = b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays)
+            footer = footer.encode() + struct.pack("<Q", len(footer))
+            assert path.read_bytes() == head + payload + footer
 
     def test_deterministic_bytes(self, tmp_path, rng):
         op = svd_decompose(rng.standard_normal((4, 4)))
