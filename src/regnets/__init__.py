@@ -6,7 +6,6 @@ from .analysis import (
     BoundTerms,
     ExperimentReport,
     SourceCondition,
-    convergence_experiment,
     distance_function,
     error_bound_terms,
     evaluate_testset,
@@ -52,7 +51,6 @@ from .regnet import (
     ReconstructionMethod,
     RegNetFamily,
     a3_residual,
-    adaptedness_probe,
     continued_svd_residual,
     nullspace_residual,
 )

@@ -1,5 +1,5 @@
 """Quantitative error analysis: distance function, bound decomposition,
-a-priori parameter choice, and the rate / convergence / test-set experiments.
+a-priori parameter choice, and the rate / test-set experiments.
 
 The central estimate splits the reconstruction error of a learned method
 into four measurable pieces,
@@ -37,7 +37,6 @@ __all__ = [
     "error_bound_terms",
     "param_choice",
     "rate_experiment",
-    "convergence_experiment",
     "evaluate_testset",
     "rescale_unit",
     "fit_loglog_slope",
@@ -99,7 +98,6 @@ class ExperimentReport:
     slope_residual: float | None = None
     best_alpha: float | None = None
     noiseless_error: float | None = None
-    non_convergent: bool = False
 
 
 def distance_function(
@@ -280,29 +278,6 @@ def rate_experiment(
     return ExperimentReport(
         rate_rows=rows, slope=slope, slope_residual=resid, noiseless_error=noiseless_error
     )
-
-
-def convergence_experiment(
-    family: RegNetFamily,
-    x,
-    deltas,
-    alpha_rule,
-    seed: int = 0,
-) -> ExperimentReport:
-    """Reconstruction errors along a decreasing noise sequence for a learned
-    family; flags (but does not raise) when the final error exceeds the first."""
-    op = family.operator
-    x = op._check_coeff(x)
-    y = op.forward(x)
-    rows = []
-    for i, delta in enumerate(deltas):
-        alpha = float(alpha_rule(delta))
-        m = family.nearest(alpha)
-        y_delta = add_noise_exact(y, delta, seed + i)
-        err = float(np.linalg.norm(m.reconstruct(y_delta) - x))
-        rows.append(RateRow(delta=float(delta), alpha=m.alpha, error=err))
-    non_convergent = bool(rows and rows[-1].error > rows[0].error)
-    return ExperimentReport(rate_rows=rows, non_convergent=non_convergent)
 
 
 def rescale_unit(img) -> np.ndarray:

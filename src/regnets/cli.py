@@ -115,11 +115,20 @@ def _parse_floats(text: str):
     return values
 
 
+_BOOL_WORDS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
 def _coerce(key: str, value: str):
     """Parse a config value by the type of the field's default."""
     kind = type(getattr(RunConfig, key))
     if kind is bool:
-        return str(value).strip().lower() in ("1", "true", "yes", "on")
+        word = str(value).strip().lower()
+        if word not in _BOOL_WORDS:
+            raise ValueError(f"{key}: expected one of {'/'.join(_BOOL_WORDS)}, got {value!r}")
+        return _BOOL_WORDS[word]
     if kind in (int, float):
         return kind(value)
     return value

@@ -76,13 +76,6 @@ class NetworkParams:
     layers: list  # [(w: (out, in, 3, 3), b: (out,)), ...]
     seed: int
 
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            arch=self.arch,
-            layers=[(w.copy(), b.copy()) for w, b in self.layers],
-            seed=self.seed,
-        )
-
 
 @dataclass
 class TrainState:
@@ -242,6 +235,8 @@ def train(
     count = inputs.shape[0]
     if count == 0:
         raise ValueError("empty training set")
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs}")
     batch_size = max(1, min(batch_size, count))
 
     rng = np.random.default_rng(shuffle_seed)

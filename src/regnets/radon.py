@@ -195,8 +195,8 @@ def gen_phantom(
 
 def add_noise(y, delta: float, seed: int) -> np.ndarray:
     """Gaussian noise scaled by delta * max|y| (the sinogram convention)."""
-    if delta < 0:
-        raise ValueError(f"delta must be non-negative, got {delta}")
+    if not (np.isfinite(delta) and delta >= 0):
+        raise ValueError(f"delta must be finite and non-negative, got {delta}")
     y = np.asarray(y, dtype=float)
     if delta == 0:
         return y.copy()
@@ -207,8 +207,8 @@ def add_noise(y, delta: float, seed: int) -> np.ndarray:
 def add_noise_exact(y, delta: float, seed: int) -> np.ndarray:
     """Seeded random direction scaled so the perturbation has l2 norm exactly
     delta; used by the rate experiments where the noise level is a hard bound."""
-    if delta < 0:
-        raise ValueError(f"delta must be non-negative, got {delta}")
+    if not (np.isfinite(delta) and delta >= 0):
+        raise ValueError(f"delta must be finite and non-negative, got {delta}")
     y = np.asarray(y, dtype=float)
     if delta == 0:
         return y.copy()

@@ -32,8 +32,6 @@ __all__ = [
     "continued_svd_residual",
     "residual_projection",
     "a3_residual",
-    "adaptedness_probe",
-    "AdaptednessReport",
 ]
 
 CLASSICAL = "classical"
@@ -159,53 +157,8 @@ class RegNetFamily:
     def alphas(self) -> np.ndarray:
         return np.array([a for a, _ in self.members])
 
-    def method(self, index: int) -> ReconstructionMethod:
-        alpha, params = self.members[index]
-        return ReconstructionMethod(self.variant, self.operator, self.filt, alpha, params)
-
     def nearest(self, alpha: float) -> ReconstructionMethod:
         """Member with the closest alpha on a log scale."""
         idx = int(np.argmin(np.abs(np.log(self.alphas) - np.log(alpha))))
-        return self.method(idx)
-
-
-@dataclass
-class AdaptednessReport:
-    """Distances of each member's residual to the alpha-min member's residual,
-    one row per probe; ``tail_monotone[i]`` is False when the second half of
-    row i fails to decrease."""
-
-    alphas: np.ndarray
-    distances: np.ndarray
-    tail_monotone: list
-
-
-def adaptedness_probe(family: RegNetFamily, probes) -> AdaptednessReport:
-    """Empirical convergence evidence for residual_alpha(B_alpha A z).
-
-    Probes must be orthogonal to the numerical kernel (they stand in for
-    elements of ran(A+)).  This records evidence only; nothing is certified.
-    """
-    op = family.operator
-    rows = []
-    flags = []
-    for z in probes:
-        z = np.asarray(z, dtype=float)
-        knorm = np.linalg.norm(op.kernel_project(z))
-        if knorm > 1e-8 * max(np.linalg.norm(z), 1e-300):
-            raise ValueError("probe has a numerical-kernel component")
-        residuals = []
-        for idx in range(len(family.members)):
-            m = family.method(idx)
-            reg = m.regularizer()
-            residuals.append(m.residual_map(reg.apply_gram(z)))
-        dists = np.array([np.linalg.norm(r - residuals[-1]) for r in residuals])
-        rows.append(dists)
-        tail = dists[len(dists) // 2 : -1]
-        ok = bool(np.all(np.diff(tail) <= 1e-12 + 1e-9 * np.abs(tail[:-1]))) if tail.size > 1 else True
-        flags.append(ok)
-    return AdaptednessReport(
-        alphas=family.alphas,
-        distances=np.vstack(rows) if rows else np.zeros((0, len(family.members))),
-        tail_monotone=flags,
-    )
+        member_alpha, params = self.members[idx]
+        return ReconstructionMethod(self.variant, self.operator, self.filt, member_alpha, params)

@@ -18,7 +18,8 @@ provenance such as the config hash and seeds.  Writers are
 byte-deterministic for fixed inputs.  Readers check the magic, the
 version, every header field and declared payload size against the file
 length, and that the footer ends exactly at the end of the file; they
-raise ``StorageError`` on a malformed or truncated file.
+raise ``StorageError`` on a malformed or truncated file.  A reader loads
+the file once; the arrays it returns are writable views of that buffer.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "write_manifest",
     "read_manifest",
     "write_pgm16",
-    "read_pgm16",
     "write_curve_csv",
     "write_rate_csv",
     "write_keyvalue",
@@ -65,37 +65,42 @@ def _footer_bytes(meta: dict | None) -> bytes:
     return body + struct.pack("<Q", len(body))
 
 
-def _read_footer(blob: bytes, end: int, path) -> dict:
+def _read_footer(blob: memoryview, end: int, path) -> dict:
     """The key=value footer after a payload that ends at ``end``; it must end the file."""
     _need(blob, end + 8, path)
     (length,) = struct.unpack("<Q", blob[-8:])
     if end + length + 8 != len(blob):
         raise StorageError(f"{path}: truncated or malformed metadata footer ({length} bytes declared)")
     try:
-        lines = blob[end:-8].decode("utf-8").splitlines()
+        lines = bytes(blob[end:-8]).decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise StorageError(f"{path}: metadata footer is not utf-8") from exc
     return dict(line.partition("=")[::2] for line in lines if "=" in line)
 
 
-def _need(blob: bytes, end: int, path):
+def _need(blob: memoryview, end: int, path):
     if end > len(blob):
         raise StorageError(f"{path}: truncated file ({len(blob)} bytes, at least {end} declared)")
 
 
-def _unpack(fmt: str, blob: bytes, offset: int, path):
+def _unpack(fmt: str, blob: memoryview, offset: int, path):
     end = offset + struct.calcsize(fmt)
     _need(blob, end, path)
     return struct.unpack(fmt, blob[offset:end]), end
 
 
-def _f64(blob: bytes, offset: int, count: int, path):
+def _f64(blob: memoryview, offset: int, count: int, path):
+    """A view of ``count`` f64 values in the file buffer; writable, no copy."""
     _need(blob, offset + 8 * count, path)
-    arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-    return arr.astype(float), offset + 8 * count
+    return np.frombuffer(blob, dtype="<f8", count=count, offset=offset), offset + 8 * count
 
 
-def _read_header(blob: bytes, magic: bytes, fmt: str, path):
+def _read_blob(path) -> memoryview:
+    """The whole file in one writable buffer that the decoded arrays view."""
+    return memoryview(np.fromfile(path, dtype=np.uint8))
+
+
+def _read_header(blob: memoryview, magic: bytes, fmt: str, path):
     """Check the 4-byte magic and unpack the fixed header after it."""
     if blob[:4] != magic:
         raise StorageError(f"{path}: not an {magic.decode()} container")
@@ -121,7 +126,7 @@ def write_operator(path, op: SvdOperator, meta: dict | None = None):
     _write_container(path, head, arrays, meta)
 
 
-def _decode_operator(blob: bytes, path):
+def _decode_operator(blob: memoryview, path):
     (version, rows, cols), off = _read_header(blob, _MAGIC_ARRAY, "<IQQ", path)
     if version != _VERSION_OPERATOR:
         raise StorageError(f"{path}: expected an operator file (version 1), got version {version}")
@@ -141,7 +146,7 @@ def _decode_operator(blob: bytes, path):
 
 
 def read_operator(path) -> SvdOperator:
-    return _decode_operator(Path(path).read_bytes(), path)[0]
+    return _decode_operator(_read_blob(path), path)[0]
 
 
 def write_array(path, array, meta: dict | None = None):
@@ -150,7 +155,7 @@ def write_array(path, array, meta: dict | None = None):
     _write_container(path, head, (array,), meta)
 
 
-def _decode_array(blob: bytes, path):
+def _decode_array(blob: memoryview, path):
     (version, rows, cols), off = _read_header(blob, _MAGIC_ARRAY, "<IQQ", path)
     if version != _VERSION_ARRAY:
         raise StorageError(f"{path}: expected an array file (version 2), got version {version}")
@@ -159,7 +164,7 @@ def _decode_array(blob: bytes, path):
 
 
 def read_array(path) -> np.ndarray:
-    return _decode_array(Path(path).read_bytes(), path)[0]
+    return _decode_array(_read_blob(path), path)[0]
 
 
 def write_model(path, params: NetworkParams, meta: dict | None = None):
@@ -170,7 +175,7 @@ def write_model(path, params: NetworkParams, meta: dict | None = None):
     _write_container(path, head, [a for layer in params.layers for a in layer], meta)
 
 
-def _decode_model(blob: bytes, path):
+def _decode_model(blob: memoryview, path):
     (version, grid, n_layers, residual, seed), off = _read_header(blob, _MAGIC_MODEL, "<IQIBq", path)
     if version != 1:
         raise StorageError(f"{path}: unsupported model version {version}")
@@ -189,12 +194,12 @@ def _decode_model(blob: bytes, path):
 
 
 def read_model(path) -> NetworkParams:
-    return _decode_model(Path(path).read_bytes(), path)[0]
+    return _decode_model(_read_blob(path), path)[0]
 
 
 def read_metadata(path) -> dict:
     """The footer of an operator, array or model file, after checking its payload."""
-    blob = Path(path).read_bytes()
+    blob = _read_blob(path)
     if blob[:4] == _MAGIC_MODEL:
         return _decode_model(blob, path)[1]
     if blob[4:8] == struct.pack("<I", _VERSION_OPERATOR):
@@ -236,31 +241,6 @@ def write_pgm16(path, image):
     scaled = np.round(np.clip(img, 0.0, 1.0) * 65535.0).astype(">u2")
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n65535\n".encode("ascii")
     Path(path).write_bytes(header + scaled.tobytes())
-
-
-def read_pgm16(path) -> np.ndarray:
-    blob = Path(path).read_bytes()
-    fields = []
-    off = 0
-    while len(fields) < 4:
-        while off < len(blob) and blob[off : off + 1].isspace():
-            off += 1
-        if off == len(blob):
-            raise ValueError(f"{path}: PGM header has fewer than four fields")
-        if blob[off : off + 1] == b"#":
-            while off < len(blob) and blob[off : off + 1] != b"\n":
-                off += 1
-            continue
-        start = off
-        while off < len(blob) and not blob[off : off + 1].isspace():
-            off += 1
-        fields.append(blob[start:off])
-    off += 1
-    magic, width, height, maxval = fields[0], int(fields[1]), int(fields[2]), int(fields[3])
-    if magic != b"P5" or maxval != 65535:
-        raise ValueError(f"{path}: expected 16-bit binary PGM")
-    data = np.frombuffer(blob, dtype=">u2", count=width * height, offset=off)
-    return data.reshape(height, width).astype(float) / 65535.0
 
 
 def _comment_lines(meta: dict | None) -> list:

@@ -5,7 +5,6 @@ from conftest import projected_gradient_distance
 from regnets import network, radon
 from regnets.analysis import (
     SourceCondition,
-    convergence_experiment,
     distance_function,
     error_bound_terms,
     evaluate_testset,
@@ -22,13 +21,6 @@ from regnets.regnet import CLASSICAL, CONTINUED, NULLSPACE, ReconstructionMethod
 
 def classical(op, alpha, filt=None):
     return ReconstructionMethod(CLASSICAL, op, filt or TruncatedSvdFilter(), alpha)
-
-
-def zero_net(grid):
-    params = network.init_network(NetworkArch(grid=grid, hidden=(2,)), 0)
-    for i, (w, b) in enumerate(params.layers):
-        params.layers[i] = (np.zeros_like(w), np.zeros_like(b))
-    return params
 
 
 class TestDistanceFunction:
@@ -181,55 +173,28 @@ class TestRateExperiment:
         deltas = [r.delta for r in report.rate_rows]
         assert deltas == sorted(deltas)
 
+    @pytest.mark.parametrize("variant", [NULLSPACE, CONTINUED])
+    def test_learned_family_converges(self, tiny_radon_op, variant):
+        params = network.init_network(NetworkArch(grid=16, hidden=(2,)), 4)
+        alphas = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-7]
+        family = RegNetFamily(
+            variant, tiny_radon_op, TruncatedSvdFilter(), [(a, params) for a in alphas],
+            lipschitz_cap=network.lipschitz_upper_bound(params),
+        )
+        sc = SourceCondition(mu=0.5, rho=1.0)
+        deltas = [0.1, 0.05, 0.02, 0.01, 0.005, 1e-4, 1e-6, 1e-8]
+        report = rate_experiment(
+            tiny_radon_op, TruncatedSvdFilter(), sc, deltas, seed=0, family=family
+        )
+        assert all(r.alpha in alphas for r in report.rate_rows)
+        errors = [r.error for r in report.rate_rows]
+        assert errors[0] < 0.1 * errors[-1]
+        assert np.isfinite(report.slope) and report.slope > 0
+
     def test_fit_loglog_residual(self):
         slope, resid = fit_loglog_slope([1e-3, 1e-2, 1e-1], [2e-3, 2e-2, 2e-1])
         assert slope == pytest.approx(1.0, rel=1e-12)
         assert resid <= 1e-12
-
-
-class TestConvergenceExperiment:
-    def test_zero_network_classical_limit(self, tiny_radon_op, rng):
-        op = tiny_radon_op
-        params = zero_net(16)
-        members = [(1e-1, params), (1e-2, params), (1e-3, params), (1e-4, params), (1e-5, params)]
-        family = RegNetFamily(NULLSPACE, op, TruncatedSvdFilter(), members, lipschitz_cap=1.0)
-        x = rng.standard_normal(op.cols)
-        x -= op.kernel_project(x)
-        sc = SourceCondition(mu=0.5, rho=1.0)
-        deltas = [0.1, 0.05, 0.02, 0.01, 0.005, 1e-4, 1e-6]
-        report = convergence_experiment(family, x, deltas, lambda d: param_choice(d, sc))
-        errors = [r.error for r in report.rate_rows]
-        assert errors[-1] < errors[0]
-        assert not report.non_convergent
-
-    def test_fixed_nullspace_network_trend(self, tiny_radon_op, rng):
-        op = tiny_radon_op
-        params = network.init_network(NetworkArch(grid=16, hidden=(2,)), 4)
-        alphas = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-7]
-        family = RegNetFamily(
-            NULLSPACE, op, TruncatedSvdFilter(), [(a, params) for a in alphas],
-            lipschitz_cap=network.lipschitz_upper_bound(params) + 1,
-        )
-        z = rng.standard_normal(op.cols)
-        z -= op.kernel_project(z)
-        x = z + op.kernel_project(network.forward(params, z))
-        sc = SourceCondition(mu=0.5, rho=1.0)
-        deltas = [0.1, 0.05, 0.02, 0.01, 0.005, 1e-4, 1e-6, 1e-8]
-        report = convergence_experiment(family, x, deltas, lambda d: param_choice(d, sc))
-        errors = [r.error for r in report.rate_rows]
-        assert errors[-1] < 0.1 * errors[0]
-
-    def test_random_x_negative_control(self, tiny_radon_op, rng):
-        # x outside the admissible set: nothing asserted, only recorded
-        op = tiny_radon_op
-        params = zero_net(16)
-        family = RegNetFamily(
-            NULLSPACE, op, TruncatedSvdFilter(), [(1e-2, params), (1e-4, params)], lipschitz_cap=1.0
-        )
-        x = rng.standard_normal(op.cols)  # has kernel content
-        report = convergence_experiment(family, x, [0.1, 0.01, 1e-4], lambda d: d)
-        assert len(report.rate_rows) == 3
-        assert all(np.isfinite(r.error) for r in report.rate_rows)
 
 
 class IdentityOracle:

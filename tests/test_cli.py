@@ -59,7 +59,10 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "line, want",
-        [("residual=yes", True), ("residual=off", False), ("seed=12", 12), ("lr=2e-3", 2e-3), ("seed=1.5", None)],
+        [
+            ("residual=yes", True), ("residual=off", False), ("seed=12", 12), ("lr=2e-3", 2e-3),
+            ("seed=1.5", None), ("residual=ture", None), ("paper_scale=2", None),
+        ],
     )
     def test_values_parse_by_field_type(self, workspace, line, want):
         (workspace / "one.cfg").write_text(line + "\n")
@@ -214,3 +217,28 @@ class TestExitCodes:
         run("phantoms", "--config", "run.cfg")
         (workspace / "pick.cfg").write_text(TINY_CONFIG + f"recon_index={index}\n")
         assert run("reconstruct", "--config", "pick.cfg") == 2
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_numeric_error_epochs_below_one(self, workspace, epochs):
+        run("assemble", "--config", "run.cfg")
+        run("phantoms", "--config", "run.cfg")
+        (workspace / "idle.cfg").write_text(TINY_CONFIG + f"epochs={epochs}\n")
+        assert run("train", "--config", "idle.cfg") == 2
+        assert not (workspace / "models" / "continued" / "model_000.rgnn").exists()
+
+    @pytest.mark.parametrize(
+        "command, flags, extra",
+        [
+            ("evaluate", ("--delta", "nan"), ""),
+            ("evaluate", ("--delta", "inf"), ""),
+            ("reconstruct", ("--delta", "nan"), ""),
+            ("reconstruct", ("--delta", "inf"), ""),
+            ("rates", (), "rate_deltas=1e-6,1e-5,nan,1e-2\n"),
+        ],
+        ids=["evaluate-nan", "evaluate-inf", "reconstruct-nan", "reconstruct-inf", "rates-nan"],
+    )
+    def test_numeric_error_non_finite_delta(self, workspace, command, flags, extra):
+        run("assemble", "--config", "run.cfg")
+        run("phantoms", "--config", "run.cfg")
+        (workspace / "noise.cfg").write_text(TINY_CONFIG + extra)
+        assert run(command, "--config", "noise.cfg", *flags) == 2

@@ -12,7 +12,6 @@ from regnets.regnet import (
     ReconstructionMethod,
     RegNetFamily,
     a3_residual,
-    adaptedness_probe,
     continued_svd_residual,
     nullspace_residual,
     residual_projection,
@@ -151,10 +150,10 @@ class TestA3Residual:
 
 
 class TestFamily:
-    def _family(self, op, params, alphas, variant=NULLSPACE):
+    def _family(self, op, params, alphas):
         members = [(a, params) for a in alphas]
         cap = network.lipschitz_upper_bound(params) + 1.0
-        return RegNetFamily(variant, op, TruncatedSvdFilter(), members, lipschitz_cap=cap)
+        return RegNetFamily(NULLSPACE, op, TruncatedSvdFilter(), members, lipschitz_cap=cap)
 
     def test_alpha_ordering_enforced(self, small_op, net):
         with pytest.raises(ValueError):
@@ -164,27 +163,3 @@ class TestFamily:
         family = self._family(small_op, net, [1.0, 0.1, 0.01])
         assert family.nearest(0.09).alpha == 0.1
         assert family.nearest(5.0).alpha == 1.0
-
-    def test_probe_zero_family(self, small_op, zero_net, rng):
-        family = self._family(small_op, zero_net, [1.0, 0.1, 0.01])
-        z = rng.standard_normal(small_op.cols)
-        z -= small_op.kernel_project(z)
-        report = adaptedness_probe(family, [z])
-        np.testing.assert_array_equal(report.distances, np.zeros((1, 3)))
-        assert report.tail_monotone == [True]
-
-    def test_probe_identity_regime(self, small_op, net, rng):
-        # alphas below the smallest kept sigma^2 make B_alpha A the identity
-        # on ran(A+), so a shared network yields identical residuals
-        sigma_min = small_op.singular_values[: small_op.rank][-1]
-        alphas = [0.5 * sigma_min**2, 0.25 * sigma_min**2, 0.1 * sigma_min**2]
-        family = self._family(small_op, net, alphas, variant=CONTINUED)
-        z = rng.standard_normal(small_op.cols)
-        z -= small_op.kernel_project(z)
-        report = adaptedness_probe(family, [z])
-        assert np.max(report.distances) <= 1e-10
-
-    def test_probe_rejects_kernel_component(self, small_op, zero_net, rng):
-        family = self._family(small_op, zero_net, [1.0, 0.1])
-        with pytest.raises(ValueError):
-            adaptedness_probe(family, [rng.standard_normal(small_op.cols)])
