@@ -97,7 +97,6 @@ class ExperimentReport:
     slope: float | None = None
     slope_residual: float | None = None
     best_alpha: float | None = None
-    noiseless_error: float | None = None
 
 
 def distance_function(
@@ -233,14 +232,14 @@ def rate_experiment(
     x = (A*A)^mu (rho * w/||w||) for a seeded direction w; for a learned
     family as x = z + kernel_residual(z) with z in the range of the
     pseudo-inverse and the alpha-min member supplying the kernel map.
-    Noise has exact l2 norm delta.  delta = 0 entries are evaluated at the
-    alpha of the smallest positive delta and excluded from the fit.
+    Noise has exact l2 norm delta; every delta must be positive.
     """
     deltas = [float(d) for d in deltas]
-    positive = sorted(d for d in deltas if d > 0)
-    if len(positive) < 3:
-        raise ValueError("degenerate fit: need at least 3 positive noise levels")
-    if np.log10(positive[-1]) - np.log10(positive[0]) < 3.0 - 1e-12:
+    if not all(d > 0 for d in deltas):
+        raise ValueError(f"noise levels must be positive, got {deltas}")
+    if len(deltas) < 3:
+        raise ValueError("degenerate fit: need at least 3 noise levels")
+    if np.log10(max(deltas)) - np.log10(min(deltas)) < 3.0 - 1e-12:
         raise ValueError("noise levels must span at least 3 decades")
 
     rng = np.random.default_rng(seed)
@@ -257,9 +256,8 @@ def rate_experiment(
     y = op.forward(x)
 
     rows = []
-    noiseless_error = None
     for i, delta in enumerate(deltas):
-        alpha = param_choice(delta if delta > 0 else positive[0], sc, scale)
+        alpha = param_choice(delta, sc, scale)
         if family is None:
             m = ReconstructionMethod(CLASSICAL, op, filt, alpha)
         else:
@@ -267,17 +265,12 @@ def rate_experiment(
             alpha = m.alpha
         y_delta = add_noise_exact(y, delta, seed + 1000 + i)
         err = float(np.linalg.norm(m.reconstruct(y_delta) - x))
-        if delta == 0:
-            noiseless_error = err
-        else:
-            rows.append(RateRow(delta=delta, alpha=alpha, error=err))
+        rows.append(RateRow(delta=delta, alpha=alpha, error=err))
 
     rows.sort(key=lambda r: r.delta)
     fit_rows = [r for r in rows if r.error > 0]
     slope, resid = fit_loglog_slope([r.delta for r in fit_rows], [r.error for r in fit_rows])
-    return ExperimentReport(
-        rate_rows=rows, slope=slope, slope_residual=resid, noiseless_error=noiseless_error
-    )
+    return ExperimentReport(rate_rows=rows, slope=slope, slope_residual=resid)
 
 
 def rescale_unit(img) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,6 @@ import numpy as np
 from . import analysis, network, radon, regnet, storage
 from .filters import (
     FilterRegularizer,
-    LandweberFilter,
     make_filter,
     qualification_sup,
     verify_filter_axioms,
@@ -156,26 +155,27 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 
 
 def _overrides_from_args(args) -> dict:
-    out = {}
-    for key in ("seed", "paper_scale", "method", "out_dir"):
-        if getattr(args, key, None) not in (None, False):
-            out[key] = getattr(args, key)
-    if getattr(args, "alpha", None):
-        out["alphas"] = args.alpha
-    if getattr(args, "delta", None):
-        out["deltas"] = args.delta
-    return out
+    """The flags given on the command line, by config key; an absent flag is
+    None, which ``load_config`` skips, so ``--seed 0`` overrides too."""
+    return {
+        "seed": args.seed, "paper_scale": args.paper_scale, "method": args.method,
+        "out_dir": args.out_dir, "alphas": args.alpha, "deltas": args.delta,
+    }
 
 
-def _make_cfg_filter(cfg: RunConfig, op=None):
+def _make_cfg_filter(cfg: RunConfig, lambda_max: float):
+    """The configured filter; a Landweber step ``landweber_beta=0`` means
+    1/lambda_max, the largest step that keeps the iteration convergent."""
     beta = cfg.landweber_beta
-    if cfg.filter == "landweber" and beta <= 0:
-        if op is None or op.sigma_max == 0:
-            beta = 1.0
-        else:
-            beta = 1.0 / op.sigma_max**2
-        return LandweberFilter(beta)
+    if beta <= 0 and lambda_max > 0:
+        beta = 1.0 / lambda_max
     return make_filter(cfg.filter, beta if beta > 0 else None)
+
+
+def _load_operator(cfg: RunConfig):
+    """The operator file and the configured filter, stepped for its spectrum."""
+    op = storage.read_operator(cfg.operator_path)
+    return op, _make_cfg_filter(cfg, op.sigma_max**2)
 
 
 def cmd_assemble(cfg: RunConfig) -> int:
@@ -207,8 +207,7 @@ def cmd_phantoms(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    op = storage.read_operator(cfg.operator_path)
-    filt = _make_cfg_filter(cfg, op)
+    op, filt = _load_operator(cfg)
     if cfg.method not in (regnet.NULLSPACE, regnet.CONTINUED):
         raise ValueError(f"config method must be nullspace or continued, got {cfg.method!r}")
     truths = storage.read_array(cfg.train_path)
@@ -218,10 +217,7 @@ def cmd_train(cfg: RunConfig) -> int:
     arch = cfg.arch(grid_n)
     sinograms = truths @ op.matrix.T  # noise-free data
 
-    model_dir = Path(cfg.model_dir) / cfg.method
-    model_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    caps = []
+    members, caps = [], []
     for idx, alpha in enumerate(cfg.alpha_list()):
         base = FilterRegularizer(op, filt, alpha).apply(sinograms)
         project = regnet.residual_projection(cfg.method, op, alpha)
@@ -233,6 +229,13 @@ def cmd_train(cfg: RunConfig) -> int:
         )
         for epoch, loss in enumerate(history):
             print(f"train[{cfg.method}] alpha={alpha:g} epoch={epoch} loss={loss:.6g}")
+        members.append((alpha, params, history))
+        caps.append(network.lipschitz_upper_bound(params))
+
+    model_dir = Path(cfg.model_dir) / cfg.method
+    model_dir.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for idx, (alpha, params, history) in enumerate(members):
         model_path = model_dir / f"model_{idx:03d}.rgnn"
         meta = cfg.meta()
         meta.update(alpha=repr(alpha), final_loss=repr(history[-1]))
@@ -241,7 +244,6 @@ def cmd_train(cfg: RunConfig) -> int:
             model_dir / f"loss_{idx:03d}.txt",
             {f"epoch_{e}": repr(l) for e, l in enumerate(history)},
         )
-        caps.append(network.lipschitz_upper_bound(params))
         entries.append((alpha, model_path.name))
     meta = cfg.meta()
     meta.update(method=cfg.method, lipschitz_cap=repr(max(caps)))
@@ -250,80 +252,73 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_family(cfg: RunConfig, op, filt, variant):
-    manifest = Path(cfg.model_dir) / variant / "manifest.txt"
-    if not manifest.exists():
-        return None
-    entries, meta = storage.read_manifest(manifest)
-    cap = float(meta.get("lipschitz_cap", "nan"))
-    if not np.isfinite(cap):
-        raise ValueError(f"{manifest}: no finite lipschitz_cap")
-    members = [
-        (alpha, storage.read_model(manifest.parent / name))
-        for alpha, name in sorted(entries, key=lambda e: -e[0])
-    ]
-    return regnet.RegNetFamily(variant, op, filt, members, lipschitz_cap=cap)
-
-
-def _methods_for(cfg, op, filt, alpha, families):
-    methods = [regnet.ReconstructionMethod(regnet.CLASSICAL, op, filt, alpha)]
+def _load_families(cfg: RunConfig, op, filt) -> dict:
+    """The trained families under ``model_dir``, by variant, in
+    (nullspace, continued) order; a variant without a manifest is absent."""
+    families = {}
     for variant in (regnet.NULLSPACE, regnet.CONTINUED):
-        family = families.get(variant)
-        if family is not None:
-            methods.append(family.nearest(alpha))
-    return methods
+        manifest = Path(cfg.model_dir) / variant / "manifest.txt"
+        if not manifest.exists():
+            continue
+        entries, meta = storage.read_manifest(manifest)
+        cap = float(meta.get("lipschitz_cap", "nan"))
+        if not np.isfinite(cap):
+            raise ValueError(f"{manifest}: no finite lipschitz_cap")
+        members = [
+            (alpha, storage.read_model(manifest.parent / name))
+            for alpha, name in sorted(entries, key=lambda e: -e[0])
+        ]
+        families[variant] = regnet.RegNetFamily(variant, op, filt, members, lipschitz_cap=cap)
+    return families
+
+
+def _method(variant: str, op, filt, alpha: float, families: dict):
+    """The reconstruction of one variant at alpha: the classical filter at
+    exactly alpha, or the family member with the nearest alpha."""
+    if variant == regnet.CLASSICAL:
+        return regnet.ReconstructionMethod(variant, op, filt, alpha)
+    return families[variant].nearest(alpha)
 
 
 def cmd_reconstruct(cfg: RunConfig) -> int:
-    op = storage.read_operator(cfg.operator_path)
-    filt = _make_cfg_filter(cfg, op)
+    op, filt = _load_operator(cfg)
     truths = storage.read_array(cfg.test_path)
     if not 0 <= cfg.recon_index < truths.shape[0]:
         raise ValueError(f"recon_index {cfg.recon_index} out of range for {truths.shape[0]} test images")
     truth = truths[cfg.recon_index]
     grid_n = int(round(op.cols**0.5))
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    families = {
-        v: _load_family(cfg, op, filt, v) for v in (regnet.NULLSPACE, regnet.CONTINUED)
-    }
+    families = _load_families(cfg, op, filt)
     alpha = cfg.alpha_list()[0]
     y = op.forward(truth)
-    storage.write_pgm16(out_dir / "truth.pgm", truth.reshape(grid_n, grid_n))
+    images = {}
     for delta in cfg.delta_list():
         y_delta = radon.add_noise(y, delta, cfg.seed)
-        for m in _methods_for(cfg, op, filt, alpha, families):
-            rec = m.reconstruct(y_delta).reshape(grid_n, grid_n)
-            name = f"recon_d{delta:g}_{m.variant}.pgm"
-            storage.write_pgm16(out_dir / name, rec)
-            print(f"reconstruct: wrote {out_dir / name}")
+        for variant in (regnet.CLASSICAL, *families):
+            m = _method(variant, op, filt, alpha, families)
+            images[f"recon_d{delta:g}_{variant}.pgm"] = m.reconstruct(y_delta)
+
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    storage.write_pgm16(out_dir / "truth.pgm", truth.reshape(grid_n, grid_n))
+    for name, rec in images.items():
+        storage.write_pgm16(out_dir / name, rec.reshape(grid_n, grid_n))
+        print(f"reconstruct: wrote {out_dir / name}")
     return 0
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    op = storage.read_operator(cfg.operator_path)
-    filt = _make_cfg_filter(cfg, op)
+    op, filt = _load_operator(cfg)
     truths = storage.read_array(cfg.test_path)
     if truths.shape[0] == 0:
         raise ValueError("empty test set")
     sinograms = truths @ op.matrix.T
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    families = {
-        v: _load_family(cfg, op, filt, v) for v in (regnet.NULLSPACE, regnet.CONTINUED)
-    }
-    variants = [regnet.CLASSICAL] + [v for v, f in families.items() if f is not None]
-    alphas = cfg.alpha_list()
+    families = _load_families(cfg, op, filt)
     n_val = min(10, truths.shape[0])
+    reports = {}
     selection = {}
     for delta in cfg.delta_list():
-        for variant in variants:
-            methods = []
-            for alpha in alphas:
-                if variant == regnet.CLASSICAL:
-                    methods.append(regnet.ReconstructionMethod(variant, op, filt, alpha))
-                else:
-                    methods.append(families[variant].nearest(alpha))
+        for variant in (regnet.CLASSICAL, *families):
+            methods = [_method(variant, op, filt, alpha, families) for alpha in cfg.alpha_list()]
             val_report = analysis.evaluate_testset(
                 methods, truths[:n_val], sinograms[:n_val], delta, cfg.seed
             )
@@ -331,58 +326,60 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             report = analysis.evaluate_testset(methods, truths, sinograms, delta, cfg.seed)
             meta = cfg.meta()
             meta.update(variant=variant, delta=repr(delta), validation_size=n_val)
-            path = out_dir / f"evaluate_{variant}_d{delta:g}.csv"
-            storage.write_curve_csv(path, report.curve_rows, meta)
-            print(f"evaluate: wrote {path} (best alpha {report.best_alpha:g})")
-    selection.update({k: str(v) for k, v in cfg.meta().items()})
-    storage.write_keyvalue(out_dir / "selection.txt", selection)
+            reports[f"evaluate_{variant}_d{delta:g}.csv"] = (report, meta)
+
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, (report, meta) in reports.items():
+        rows = [astuple(r) for r in report.curve_rows]
+        storage.write_csv(out_dir / name, ("alpha", "kept", "mse", "mae"), rows, meta)
+        print(f"evaluate: wrote {out_dir / name} (best alpha {report.best_alpha:g})")
+    storage.write_keyvalue(out_dir / "selection.txt", selection, cfg.meta())
     return 0
 
 
 def cmd_rates(cfg: RunConfig) -> int:
-    op = storage.read_operator(cfg.operator_path)
-    filt = _make_cfg_filter(cfg, op)
+    op, filt = _load_operator(cfg)
     sc = analysis.SourceCondition(mu=cfg.mu, rho=cfg.rho)
     deltas = _parse_floats(cfg.rate_deltas)
     report = analysis.rate_experiment(op, filt, sc, deltas, cfg.seed, scale=cfg.scale_c)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    storage.write_rate_csv(out_dir / "rates.csv", report.rate_rows, cfg.meta())
     theory = 2.0 * cfg.mu / (2.0 * cfg.mu + 1.0)
     summary = {
         "slope": repr(report.slope),
         "residual": repr(report.slope_residual),
         "theory": repr(theory),
-        **{k: str(v) for k, v in cfg.meta().items()},
     }
-    storage.write_keyvalue(out_dir / "slope.txt", summary)
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = [astuple(r) for r in report.rate_rows]
+    storage.write_csv(out_dir / "rates.csv", ("delta", "alpha", "error"), rows, cfg.meta())
+    storage.write_keyvalue(out_dir / "slope.txt", summary, cfg.meta())
     print(f"rates: slope {report.slope:.4f} (theory {theory:.4f}) -> {out_dir / 'rates.csv'}")
     return 0
 
 
 def cmd_distfn(cfg: RunConfig) -> int:
-    op = storage.read_operator(cfg.operator_path)
-    filt = _make_cfg_filter(cfg, op)
+    op, filt = _load_operator(cfg)
     sc = analysis.SourceCondition(mu=cfg.mu, rho=cfg.rho)
     rng = np.random.default_rng(cfg.seed)
     w = rng.standard_normal(op.cols)
     w *= sc.rho / np.linalg.norm(w)
     x = op.power_apply(w, sc.mu)
+    lines = {
+        f"alpha_{alpha:g}": repr(analysis.distance_function(
+            op, regnet.ReconstructionMethod(regnet.CLASSICAL, op, filt, alpha), x, sc
+        )) for alpha in cfg.alpha_list()
+    }
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = {f"alpha_{alpha:g}": repr(
-        analysis.distance_function(
-            op, regnet.ReconstructionMethod(regnet.CLASSICAL, op, filt, alpha), x, sc
-        )
-    ) for alpha in cfg.alpha_list()}
-    lines.update({k: str(v) for k, v in cfg.meta().items()})
-    storage.write_keyvalue(out_dir / "distfn.txt", lines)
+    storage.write_keyvalue(out_dir / "distfn.txt", lines, cfg.meta())
     print(f"distfn: wrote {out_dir / 'distfn.txt'}")
     return 0
 
 
 def cmd_checkfilter(cfg: RunConfig) -> int:
-    filt = _make_cfg_filter(cfg)
+    # the report is the verdict: it is written also when the filter fails (exit 2)
+    filt = _make_cfg_filter(cfg, cfg.lambda_max)
     alphas = np.logspace(-1, -6, 6)
     report = verify_filter_axioms(filt, cfg.lambda_max, alphas)
     lines = {
@@ -402,9 +399,8 @@ def cmd_checkfilter(cfg: RunConfig) -> int:
         lines[f"qualification_ratio_mu{mu:g}"] = repr(worst)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines.update({k: str(v) for k, v in cfg.meta().items()})
-    storage.write_keyvalue(out_dir / "filter_report.txt", lines)
-    for key, value in lines.items():
+    storage.write_keyvalue(out_dir / "filter_report.txt", lines, cfg.meta())
+    for key, value in {**lines, **cfg.meta()}.items():
         print(f"checkfilter: {key}={value}")
     return 0 if report.passed else 2
 
@@ -439,7 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--alpha", default=None, help="comma-separated alpha list")
         p.add_argument("--delta", default=None, help="comma-separated delta list")
-        p.add_argument("--paper-scale", dest="paper_scale", action="store_true", default=False)
+        p.add_argument("--paper-scale", dest="paper_scale", action="store_true", default=None)
         p.add_argument("--method", default=None, choices=["nullspace", "continued"])
         p.add_argument("--out-dir", dest="out_dir", default=None)
     return parser

@@ -86,21 +86,6 @@ class SvdOperator:
         """A x."""
         return self.matrix @ self._check_coeff(x)
 
-    def adjoint(self, y) -> np.ndarray:
-        """A* y."""
-        return self.matrix.T @ self._check_data(y)
-
-    def pseudo_inverse(self, y) -> np.ndarray:
-        """Minimal-norm least-squares solution of A x = y.
-
-        Sums 1/sigma_n <v_n, y> u_n over directions above the rank cutoff;
-        the result is orthogonal to the numerical kernel.
-        """
-        y = self._check_data(y)
-        r = self.rank
-        coef = (self.data_vectors[:, :r].T @ y) / self.singular_values[:r]
-        return self.image_vectors[:, :r] @ coef
-
     def project_out(self, x, r: int) -> np.ndarray:
         """x minus its orthogonal projection onto u_0 .. u_{r-1}, for one
         coefficient vector or a (count, cols) stack of them."""

@@ -44,8 +44,7 @@ __all__ = [
     "write_manifest",
     "read_manifest",
     "write_pgm16",
-    "write_curve_csv",
-    "write_rate_csv",
+    "write_csv",
     "write_keyvalue",
 ]
 
@@ -207,10 +206,13 @@ def read_metadata(path) -> dict:
     return _decode_array(blob, path)[1]
 
 
+def _comment_lines(meta: dict | None) -> list:
+    return [f"# {k}={v}" for k, v in sorted((meta or {}).items())]
+
+
 def write_manifest(path, entries, meta: dict | None = None):
     """Plain-text family manifest: one 'alpha=<decimal> model=<path>' per line."""
-    lines = [f"# {k}={v}" for k, v in sorted((meta or {}).items())]
-    lines += [f"alpha={alpha!r} model={model}" for alpha, model in entries]
+    lines = _comment_lines(meta) + [f"alpha={alpha!r} model={model}" for alpha, model in entries]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -243,22 +245,15 @@ def write_pgm16(path, image):
     Path(path).write_bytes(header + scaled.tobytes())
 
 
-def _comment_lines(meta: dict | None) -> list:
-    return [f"# {k}={v}" for k, v in sorted((meta or {}).items())]
-
-
-def write_curve_csv(path, rows, meta: dict | None = None):
-    lines = _comment_lines(meta) + ["alpha,kept,mse,mae"]
-    lines += [f"{r.alpha!r},{r.kept},{r.mse!r},{r.mae!r}" for r in rows]
+def write_csv(path, header, rows, meta: dict | None = None):
+    """'# key=value' provenance comments, the header line, then one line of
+    comma-separated ``repr`` values per row."""
+    lines = _comment_lines(meta) + [",".join(header)]
+    lines += [",".join(repr(v) for v in row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_rate_csv(path, rows, meta: dict | None = None):
-    lines = _comment_lines(meta) + ["delta,alpha,error"]
-    lines += [f"{r.delta!r},{r.alpha!r},{r.error!r}" for r in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_keyvalue(path, values: dict):
-    lines = [f"{k}={v}" for k, v in values.items()]
+def write_keyvalue(path, values: dict, meta: dict | None = None):
+    """One 'key=value' line per entry of ``values``, then of the provenance ``meta``."""
+    lines = [f"{k}={v}" for k, v in {**values, **(meta or {})}.items()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

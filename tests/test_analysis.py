@@ -156,14 +156,13 @@ class TestRateExperiment:
         report = rate_experiment(tiny_radon_op, TruncatedSvdFilter(), SourceCondition(mu=0.5, rho=1.0), deltas, seed=0)
         assert [r.delta for r in report.rate_rows] == deltas
 
-    def test_noiseless_entry_reported_separately(self, tiny_radon_op):
+    def test_non_positive_delta_rejected(self, tiny_radon_op):
+        # a noise level <= 0 has no a-priori alpha and no place on the log-log fit
         sc = SourceCondition(mu=0.5, rho=1.0)
-        deltas = [0.0] + list(np.logspace(-6, -2, 5))
-        report = rate_experiment(tiny_radon_op, TruncatedSvdFilter(), sc, deltas, seed=0, scale=10.0)
-        assert report.noiseless_error is not None
-        assert len(report.rate_rows) == 5
-        assert all(r.delta > 0 for r in report.rate_rows)
-        assert report.slope is not None
+        for bad in (0.0, -1e-4):
+            deltas = [bad] + list(np.logspace(-6, -2, 5))
+            with pytest.raises(ValueError, match="positive"):
+                rate_experiment(tiny_radon_op, TruncatedSvdFilter(), sc, deltas, seed=0, scale=10.0)
 
     def test_rows_sorted_by_delta(self, tiny_radon_op):
         sc = SourceCondition(mu=0.5, rho=1.0)

@@ -36,6 +36,11 @@ def run(*argv):
     return main(list(argv))
 
 
+def snapshot(directory):
+    """Every file under ``directory`` with its bytes, by relative path."""
+    return {str(f.relative_to(directory)): f.read_bytes() for f in sorted(directory.rglob("*")) if f.is_file()}
+
+
 class TestConfig:
     def test_defaults_and_overrides(self, workspace):
         cfg = load_config("run.cfg", {"seed": 9})
@@ -135,6 +140,23 @@ class TestPipeline:
         for row in test:
             assert not any(np.array_equal(row, t) for t in train)
 
+    def test_seed_zero_flag_overrides_config(self, workspace):
+        # run.cfg sets seed=3; an explicit --seed 0 must win like any other seed
+        assert run("phantoms", "--config", "run.cfg", "--seed", "0") == 0
+        meta = storage.read_metadata("train.rgn1")
+        assert (meta["seed"], meta["first_seed"]) == ("0", "0")
+        assert run("phantoms", "--config", "run.cfg") == 0
+        assert storage.read_metadata("train.rgn1")["seed"] == "3"
+
+    def test_checkfilter_landweber_step_follows_lambda_max(self, workspace):
+        # the default Landweber step is 1/lambda_max; a fixed step of 1 diverges for lambda_max=2
+        for lambda_max in (2, 4):
+            (workspace / "lw.cfg").write_text(TINY_CONFIG + f"filter=landweber\nlambda_max={lambda_max}\n")
+            assert run("checkfilter", "--config", "lw.cfg") == 0
+            report = dict(line.split("=", 1) for line in (workspace / "out/filter_report.txt").read_text().splitlines())
+            assert report["convergent"] == "True" and report["passed"] == "True"
+            assert np.isfinite(float(report["sup_lambda_g"]))
+
     def test_zero_count_dataset(self, workspace):
         (workspace / "zero.cfg").write_text(TINY_CONFIG + "train_count=0\ntest_count=0\n")
         assert run("phantoms", "--config", "zero.cfg") == 0
@@ -224,7 +246,7 @@ class TestExitCodes:
         run("phantoms", "--config", "run.cfg")
         (workspace / "idle.cfg").write_text(TINY_CONFIG + f"epochs={epochs}\n")
         assert run("train", "--config", "idle.cfg") == 2
-        assert not (workspace / "models" / "continued" / "model_000.rgnn").exists()
+        assert not (workspace / "models" / "continued").exists()
 
     @pytest.mark.parametrize(
         "command, flags, extra",
@@ -234,11 +256,38 @@ class TestExitCodes:
             ("reconstruct", ("--delta", "nan"), ""),
             ("reconstruct", ("--delta", "inf"), ""),
             ("rates", (), "rate_deltas=1e-6,1e-5,nan,1e-2\n"),
+            ("rates", (), "rate_deltas=0,1e-6,1e-4,1e-2\n"),
         ],
-        ids=["evaluate-nan", "evaluate-inf", "reconstruct-nan", "reconstruct-inf", "rates-nan"],
+        ids=["evaluate-nan", "evaluate-inf", "reconstruct-nan", "reconstruct-inf", "rates-nan", "rates-zero"],
     )
     def test_numeric_error_non_finite_delta(self, workspace, command, flags, extra):
         run("assemble", "--config", "run.cfg")
         run("phantoms", "--config", "run.cfg")
         (workspace / "noise.cfg").write_text(TINY_CONFIG + extra)
         assert run(command, "--config", "noise.cfg", *flags) == 2
+        assert not (workspace / "out").exists()
+
+
+class TestFailedRunWritesNothing:
+    """A command that exits non-zero creates and changes no file."""
+
+    @pytest.mark.parametrize("command", ["reconstruct", "evaluate"])
+    def test_bad_second_delta(self, workspace, command):
+        run("assemble", "--config", "run.cfg")
+        run("phantoms", "--config", "run.cfg")
+        assert run("train", "--config", "run.cfg") == 0
+        assert run(command, "--config", "run.cfg", "--delta", "0.05,nan") == 2
+        assert not (workspace / "out").exists()
+        assert run(command, "--config", "run.cfg") == 0
+        before = snapshot(workspace / "out")
+        assert run(command, "--config", "run.cfg", "--delta", "0.05,nan") == 2
+        assert snapshot(workspace / "out") == before
+
+    def test_retrain_with_bad_alpha_keeps_the_family(self, workspace):
+        # the second alpha fails only after the first member has trained
+        run("assemble", "--config", "run.cfg")
+        run("phantoms", "--config", "run.cfg")
+        assert run("train", "--config", "run.cfg") == 0
+        before = snapshot(workspace / "models" / "continued")
+        assert run("train", "--config", "run.cfg", "--alpha", "3e-3,-1") == 2
+        assert snapshot(workspace / "models" / "continued") == before

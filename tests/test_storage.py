@@ -216,11 +216,12 @@ class TestManifestPgmCsv:
         np.testing.assert_array_equal(self._pgm_samples(tmp_path / "img.pgm", 2, 1), [[0, 65535]])
 
     def test_csv_headers(self, tmp_path):
-        from regnets.analysis import CurveRow, RateRow
-
-        storage.write_curve_csv(tmp_path / "c.csv", [CurveRow(0.1, 5, 0.01, 0.02)], {"seed": 1})
+        storage.write_csv(tmp_path / "c.csv", ("alpha", "kept", "mse", "mae"), [(0.1, 5, 0.01, 0.02)], {"seed": 1})
         lines = (tmp_path / "c.csv").read_text().splitlines()
-        assert lines[0] == "# seed=1"
-        assert lines[1] == "alpha,kept,mse,mae"
-        storage.write_rate_csv(tmp_path / "r.csv", [RateRow(0.1, 0.2, 0.3)])
+        assert lines == ["# seed=1", "alpha,kept,mse,mae", "0.1,5,0.01,0.02"]
+        storage.write_csv(tmp_path / "r.csv", ("delta", "alpha", "error"), [(0.1, 0.2, 0.3)])
         assert (tmp_path / "r.csv").read_text().splitlines()[0] == "delta,alpha,error"
+
+    def test_keyvalue_provenance_follows_values(self, tmp_path):
+        storage.write_keyvalue(tmp_path / "kv.txt", {"slope": "0.5", "n": 3}, {"config": "cafe", "seed": 0})
+        assert (tmp_path / "kv.txt").read_text() == "slope=0.5\nn=3\nconfig=cafe\nseed=0\n"
