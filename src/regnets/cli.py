@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import re
 import sys
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
@@ -181,7 +182,7 @@ def _load_operator(cfg: RunConfig):
 def cmd_assemble(cfg: RunConfig) -> int:
     geom = cfg.geometry()
     matrix = radon.assemble_matrix(geom)
-    op = svd_decompose(matrix, cfg.rank_tol)
+    op = svd_decompose(matrix, cfg.rank_tol, geom.mirrors())
     meta = cfg.meta()
     meta.update(
         grid_n=geom.grid_n, n_angles=geom.n_angles, n_detectors=geom.n_detectors,
@@ -234,20 +235,23 @@ def cmd_train(cfg: RunConfig) -> int:
 
     model_dir = Path(cfg.model_dir) / cfg.method
     model_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
+    entries, written = [], set()
     for idx, (alpha, params, history) in enumerate(members):
         model_path = model_dir / f"model_{idx:03d}.rgnn"
+        loss_path = model_dir / f"loss_{idx:03d}.txt"
         meta = cfg.meta()
         meta.update(alpha=repr(alpha), final_loss=repr(history[-1]))
         storage.write_model(model_path, params, meta)
-        storage.write_keyvalue(
-            model_dir / f"loss_{idx:03d}.txt",
-            {f"epoch_{e}": repr(l) for e, l in enumerate(history)},
-        )
+        storage.write_keyvalue(loss_path, {f"epoch_{e}": repr(l) for e, l in enumerate(history)})
         entries.append((alpha, model_path.name))
+        written.update((model_path.name, loss_path.name))
     meta = cfg.meta()
     meta.update(method=cfg.method, lipschitz_cap=repr(max(caps)))
     storage.write_manifest(model_dir / "manifest.txt", entries, meta)
+    # members of an earlier, larger family that the new manifest does not list
+    for path in model_dir.iterdir():
+        if re.fullmatch(r"model_\d+\.rgnn|loss_\d+\.txt", path.name) and path.name not in written:
+            path.unlink()
     print(f"train: wrote {len(entries)} models to {model_dir}")
     return 0
 

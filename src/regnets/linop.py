@@ -15,6 +15,23 @@ set the code uses is a prefix of the stored system: directions
 first ``retained_rank(alpha)`` of them have sigma_n^2 >= alpha.  The
 numerical kernel is the span of the remaining stored directions together
 with the orthogonal complement of the stored system.
+
+Symmetry blocks.  ``svd_decompose`` may be given commuting involutions of
+the matrix, each a row permutation paired with a column permutation that
+together leave it fixed (for the tomography operator, the x- and y-mirror
+flips of ``RadonGeometry.mirrors``).  They generate a group G = (Z/2)^m,
+and A maps the chi-isotypic part of coefficient space into that of data
+space for each of the 2^m characters chi.  So A is block diagonal in the
+orbit bases e = sum_t chi(t) e_{t(i)} / sqrt(|G| |H|), one basis vector per
+index orbit whose stabiliser H lies in the kernel of chi.  Each block is
+about 1/|G| of A on each side and is factored by its own SVD, which costs
+about 1/|G|^3 of the whole; the block singular vectors are scattered back
+to full length.  The merged system is sorted by a stable descending sort
+of sigma over the blocks taken in character order (chi_s(t) =
+(-1)^popcount(s & t)), so tied singular values keep that order.  When
+blocks of both shapes leave fewer than min(rows, cols) block singular
+pairs, the missing zero pairs are the blocks' complements, paired up after
+all others.  With no symmetries the whole matrix is the one block.
 """
 
 from __future__ import annotations
@@ -24,6 +41,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["SvdOperator", "svd_decompose"]
+
+# elements per chunk of the passes that would otherwise copy a whole matrix
+_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -116,8 +136,17 @@ def _check_length(x, length: int, space: str, stack: bool) -> np.ndarray:
     return x
 
 
-def svd_decompose(matrix, rank_tol: float = 1e-10) -> SvdOperator:
+def svd_decompose(matrix, rank_tol: float = 1e-10, symmetries=()) -> SvdOperator:
     """Factor a dense matrix and cache the singular system.
+
+    ``symmetries`` are commuting involutions of the matrix, each a
+    ``(row_perm, col_perm)`` pair with ``matrix[row_perm][:, col_perm]``
+    equal to ``matrix`` (``RadonGeometry.mirrors`` gives them for the
+    tomography operator).  The matrix is factored one block per character
+    of the group they generate, as the module docstring describes; with no
+    symmetries the whole matrix is the one block.  The stored matrix is
+    ``matrix`` itself, not a copy, when it is already a C-ordered float
+    array.
 
     Signs are canonicalized (largest-magnitude entry of each u_n made
     positive, v_n flipped along) so repeated runs produce identical
@@ -126,11 +155,13 @@ def svd_decompose(matrix, rank_tol: float = 1e-10) -> SvdOperator:
     Raises
     ------
     ValueError
-        Non-finite entries, empty matrix, or rank_tol outside (0, 1).
+        Non-finite entries, empty matrix, rank_tol outside (0, 1), a
+        symmetry that is not a commuting involution of the index sets, or
+        a matrix that a symmetry changes by more than 1e-12 relative.
     numpy.linalg.LinAlgError
         If the factorization does not converge.
     """
-    matrix = np.array(matrix, dtype=float, copy=True, order="C")
+    matrix = np.ascontiguousarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 1:
         raise ValueError(f"expected a non-empty 2-d matrix, got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix)):
@@ -138,20 +169,167 @@ def svd_decompose(matrix, rank_tol: float = 1e-10) -> SvdOperator:
     if not (0.0 < rank_tol < 1.0):
         raise ValueError(f"rank_tol must lie in (0, 1), got {rank_tol}")
 
-    v, sigma, ut = np.linalg.svd(matrix, full_matrices=False)
-    u = ut.T  # columns are coefficient-space directions
+    rows, cols = matrix.shape
+    row_perms, col_perms = _symmetry_group(matrix, symmetries)
+    blocks = []
+    for chi in _characters(len(symmetries)):
+        row_idx, row_stab = _orbit_basis(row_perms, chi)
+        col_idx, col_stab = _orbit_basis(col_perms, chi)
+        blocks.append((chi, row_idx, row_stab, col_idx, col_stab))
 
-    # deterministic sign choice per singular pair
-    for n in range(sigma.size):
-        pivot = np.argmax(np.abs(u[:, n]))
-        if u[pivot, n] < 0:
-            u[:, n] = -u[:, n]
-            v[:, n] = -v[:, n]
+    k = min(rows, cols)
+    paired = sum(min(r.shape[1], c.shape[1]) for _, r, _, c, _ in blocks)
+    # Blocks of mixed shape leave k - paired zero singular pairs that no thin
+    # block SVD returns; they come from the complements of the full ones.
+    full = paired < k
+    u = np.zeros((cols, k))  # an orbit a block drops is zero in its columns
+    v = np.zeros((rows, k))
+    sigma = np.zeros(k)
+    pos, extra_u, extra_v = 0, paired, paired
+    for chi, row_idx, row_stab, col_idx, col_stab in blocks:
+        block = _gather_block(matrix, chi, row_idx, row_stab, col_idx, col_stab)
+        # the transposed block, so that u comes out (cols, k) and row-major
+        w, s, zt = np.linalg.svd(block.T, full_matrices=full)
+        del block
+        m = s.size
+        sigma[pos : pos + m] = s
+        w_take = min(w.shape[1], m + k - extra_u)
+        v_take = min(zt.shape[0], m + k - extra_v)
+        _scatter(u, chi, col_idx, col_stab, w[:, :w_take], m, pos, extra_u)
+        _scatter(v, chi, row_idx, row_stab, zt[:v_take].T, m, pos, extra_v)
+        pos += m
+        extra_u += w_take - m
+        extra_v += v_take - m
 
+    order = np.argsort(-sigma, kind="stable")
+    sigma = sigma[order]
+    _permute_columns(u, order)
+    _permute_columns(v, order)
+    _canonical_signs(u, v)
     return SvdOperator(
         matrix=matrix,
-        image_vectors=np.ascontiguousarray(u),
-        data_vectors=np.ascontiguousarray(v),
+        image_vectors=u,
+        data_vectors=v,
         singular_values=sigma,
         rank_tol=float(rank_tol),
     )
+
+
+def _symmetry_group(matrix, symmetries):
+    """Every element of the group the pairs generate, as ``(|G|, rows)`` and
+    ``(|G|, cols)`` index arrays; element ``b`` composes the generators whose
+    bit is set in ``b``, so element 0 is the identity.  Each pair must be a
+    commuting involution, new to the group, that leaves the matrix fixed."""
+    rows, cols = matrix.shape
+    row_perms = np.arange(rows)[None, :]
+    col_perms = np.arange(cols)[None, :]
+    for n, pair in enumerate(symmetries):
+        try:
+            r, c = (np.asarray(p) for p in pair)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"symmetry {n}: expected a (row_perm, col_perm) pair") from exc
+        for perm, size, side in ((r, rows, "row"), (c, cols, "column")):
+            if perm.shape != (size,) or perm.dtype.kind not in "iu":
+                raise ValueError(f"symmetry {n}: {side} map is not {size} integer indices")
+            if not np.array_equal(np.sort(perm), np.arange(size)):
+                raise ValueError(f"symmetry {n}: {side} map is not a permutation")
+            if not np.array_equal(perm[perm], np.arange(size)):
+                raise ValueError(f"symmetry {n}: {side} map is not an involution")
+        if not (np.array_equal(row_perms[:, r], r[row_perms]) and np.array_equal(col_perms[:, c], c[col_perms])):
+            raise ValueError(f"symmetry {n} does not commute with the earlier ones")
+        new_rows, new_cols = r[row_perms], c[col_perms]
+        if np.any(np.all(new_rows == np.arange(rows), axis=1) & np.all(new_cols == np.arange(cols), axis=1)):
+            raise ValueError(f"symmetry {n} lies in the group of the earlier ones")
+        _check_invariant(matrix, r, c, n)
+        row_perms = np.vstack([row_perms, new_rows])
+        col_perms = np.vstack([col_perms, new_cols])
+    return row_perms, col_perms
+
+
+def _check_invariant(matrix, r, c, n: int):
+    """Require ``matrix[r][:, c] == matrix`` to 1e-12 relative (Frobenius
+    norm); the rows are compared a chunk at a time."""
+    step = max(1, _CHUNK // matrix.shape[1])
+    err = 0.0
+    for i in range(0, matrix.shape[0], step):
+        diff = np.take(matrix[r[i : i + step]], c, axis=1)
+        diff -= matrix[i : i + step]
+        err += float(np.einsum("ij,ij->", diff, diff))
+    norm = np.linalg.norm(matrix)
+    if np.sqrt(err) > 1e-12 * norm:
+        raise ValueError(f"symmetry {n} changes the matrix by {np.sqrt(err) / norm:.3g} relative")
+
+
+def _characters(m: int) -> np.ndarray:
+    """The 2^m characters of (Z/2)^m as rows of +-1: chi[s, b] = (-1)^popcount(s & b)."""
+    return np.array([[(-1.0) ** bin(s & b).count("1") for b in range(1 << m)] for s in range(1 << m)])
+
+
+def _orbit_basis(perms, chi):
+    """The orbits of one index set that carry character ``chi``.
+
+    Returns the image of each orbit's smallest index under every group
+    element, shape ``(|G|, orbits)``, and each orbit's stabiliser size.  An
+    orbit whose stabiliser contains an element with chi = -1 has no
+    chi-component and is dropped.
+    """
+    size = perms.shape[1]
+    reps = np.flatnonzero(perms.min(axis=0) == np.arange(size))
+    fixed = perms[:, reps] == reps
+    keep = ~np.any(fixed & (chi < 0)[:, None], axis=0)
+    return perms[:, reps[keep]], np.count_nonzero(fixed[:, keep], axis=0)
+
+
+def _gather_block(matrix, chi, row_idx, row_stab, col_idx, col_stab):
+    """The chi-block of the matrix in the orbit bases, without a dense basis.
+
+    The basis vector of orbit O is sum_t chi(t) e_{t(i)} / sqrt(|G| |H|) on
+    either side.  A maps the chi-part of coefficient space into that of
+    data space, where the row basis vector of an orbit with first index i
+    reads y as sqrt(|G| / |H|) y_i.  So the block needs only the orbits'
+    first rows: one row gather, then a signed sum of |G| column gathers,
+    weighted 1 / sqrt(|H_row| |H_col|).
+    """
+    block = np.zeros((row_idx.shape[1], col_idx.shape[1]))
+    step = max(1, _CHUNK // matrix.shape[1])
+    for i in range(0, block.shape[0], step):
+        rows = matrix[row_idx[0, i : i + step]]
+        part = block[i : i + step]
+        for t, sign in enumerate(chi):
+            (np.add if sign > 0 else np.subtract)(part, np.take(rows, col_idx[t], axis=1), out=part)
+    block *= 1.0 / np.sqrt(row_stab)[:, None]
+    block *= 1.0 / np.sqrt(col_stab)
+    return block
+
+
+def _scatter(out, chi, idx, stab, vecs, m: int, pos: int, extra: int):
+    """Write block vectors back as full-length columns of ``out``: orbit
+    coefficient c becomes chi(t) c sqrt(|H|/|G|) at each index t(i) of its
+    orbit.  The first ``m`` columns go to ``pos`` onwards, the rest (zero
+    singular value complements) to ``extra`` onwards."""
+    vecs = vecs * np.sqrt(stab / chi.size)[:, None]
+    neg = -vecs
+    tail = vecs.shape[1] - m
+    for t in range(chi.size):
+        src = vecs if chi[t] > 0 else neg
+        out[idx[t], pos : pos + m] = src[:, :m]
+        out[idx[t], extra : extra + tail] = src[:, m:]
+
+
+def _permute_columns(a, order):
+    """``a[:, order]`` in place, a chunk of rows at a time."""
+    step = max(1, _CHUNK // a.shape[1])
+    for i in range(0, a.shape[0], step):
+        a[i : i + step] = a[i : i + step, order]
+
+
+def _canonical_signs(u, v):
+    """Flip each singular pair so that the largest-magnitude entry of u_n
+    (the first one, on ties) is positive; a chunk of columns at a time."""
+    step = max(1, _CHUNK // u.shape[0])
+    for j in range(0, u.shape[1], step):
+        cols = u[:, j : j + step]
+        pivot = np.argmax(np.abs(cols), axis=0)
+        sign = np.where(cols[pivot, np.arange(cols.shape[1])] < 0, -1.0, 1.0)
+        cols *= sign
+        v[:, j : j + step] *= sign

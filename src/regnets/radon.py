@@ -121,6 +121,28 @@ class RadonGeometry:
     def detector_offsets(self) -> np.ndarray:
         return np.linspace(self.detector_min, self.detector_max, self.n_detectors)
 
+    def mirrors(self) -> tuple:
+        """The x- and y-mirror flips that leave the assembled matrix fixed,
+        as ``(row_perm, col_perm)`` pairs with ``a[row_perm][:, col_perm]
+        == a``; ``()`` when the detector interval is not centred.
+
+        Mirroring x takes theta_k to pi - theta_k = theta_{n_angles-k}; at
+        k = 0 that is theta_0 with the offset negated.  Mirroring y negates
+        the offset as well.
+        """
+        if self.detector_min != -self.detector_max:
+            return ()
+        n, n_a, n_d = self.grid_n, self.n_angles, self.n_detectors
+        iy, ix = np.divmod(np.arange(n * n), n)
+        k, j = np.divmod(np.arange(n_a * n_d), n_d)
+        turned = (n_a - k) % n_a
+        x_rows = np.where(k == 0, n_d - 1 - j, turned * n_d + j)
+        y_rows = np.where(k == 0, j, turned * n_d + n_d - 1 - j)
+        return (
+            (x_rows, iy * n + (n - 1 - ix)),
+            (y_rows, (n - 1 - iy) * n + ix),
+        )
+
     def grid_centers(self) -> np.ndarray:
         """Blob centers, shape (grid_n^2, 2); index i = iy * grid_n + ix so a
         coefficient vector reshapes to an (iy, ix) image."""

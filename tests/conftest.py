@@ -29,7 +29,7 @@ def tall_op(rng):
 def tiny_radon_op():
     """Small real tomography operator (80 x 256, grid 16)."""
     geom = radon.RadonGeometry(grid_n=16, n_angles=5, n_detectors=16)
-    return svd_decompose(radon.assemble_matrix(geom))
+    return svd_decompose(radon.assemble_matrix(geom), symmetries=geom.mirrors())
 
 
 def projected_gradient_distance(op, r, mu, rho, iters=300_000, tol=1e-8):

@@ -49,7 +49,7 @@ def desk_operator():
     if "op" not in _DESK:
         start = time.perf_counter()
         geom = radon.RadonGeometry.desk()
-        _DESK["op"] = svd_decompose(radon.assemble_matrix(geom))
+        _DESK["op"] = svd_decompose(radon.assemble_matrix(geom), symmetries=geom.mirrors())
         _DESK["build"] = time.perf_counter() - start
     return _DESK["op"], _DESK["build"]
 

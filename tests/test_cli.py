@@ -132,6 +132,19 @@ class TestPipeline:
         assert any(line == f"# config={cfg.config_hash()}" for line in csv_head)
         assert any(line == "# seed=3" for line in csv_head)
 
+    def test_smaller_retrain_removes_stale_members(self, workspace):
+        run("assemble", "--config", "run.cfg")
+        run("phantoms", "--config", "run.cfg")
+        assert run("train", "--config", "run.cfg") == 0
+        family = workspace / "models" / "continued"
+        assert {f.name for f in family.iterdir()} >= {"model_001.rgnn", "loss_001.txt"}
+        (family / "notes.txt").write_text("kept\n")
+        assert run("train", "--config", "run.cfg", "--alpha", "1e-3") == 0
+        names = {f.name for f in family.iterdir()}
+        assert names == {"manifest.txt", "model_000.rgnn", "loss_000.txt", "notes.txt"}
+        entries, _ = storage.read_manifest(family / "manifest.txt")
+        assert entries == [(1e-3, "model_000.rgnn")]
+
     def test_phantom_splits_disjoint(self, workspace):
         run("assemble", "--config", "run.cfg")
         run("phantoms", "--config", "run.cfg")

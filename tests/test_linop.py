@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from regnets import linop, radon
 from regnets.linop import SvdOperator, svd_decompose
 
 
@@ -55,6 +56,101 @@ class TestDecompose:
     def test_rejects_unordered_or_invalid_singular_values(self, sigma):
         with pytest.raises(ValueError):
             SvdOperator(np.eye(2), np.eye(2), np.eye(2), np.array(sigma), 1e-10)
+
+
+# (grid_n, n_angles, n_detectors): odd grids, odd detector counts and even
+# angle counts give orbits with non-trivial stabilisers on both sides, and
+# (6, 5, 8) has blocks of both shapes, so the stored system needs zero pairs
+# taken from the blocks' complements
+FIXED_POINT_GEOMETRIES = [(5, 4, 7), (6, 5, 8), (16, 5, 16), (3, 2, 5)]
+
+
+def _geometry(shape):
+    return radon.RadonGeometry(grid_n=shape[0], n_angles=shape[1], n_detectors=shape[2])
+
+
+class TestSymmetryBlocks:
+    @pytest.mark.parametrize("shape", FIXED_POINT_GEOMETRIES)
+    def test_blockwise_matches_dense(self, shape):
+        geom = _geometry(shape)
+        a = radon.assemble_matrix(geom)
+        dense = svd_decompose(a)
+        blocks = svd_decompose(a, symmetries=geom.mirrors())
+        k = min(a.shape)
+        sigma_1 = dense.singular_values[0]
+        assert np.abs(blocks.singular_values - dense.singular_values).max() <= 1e-13 * sigma_1
+        assert blocks.rank == dense.rank
+        rebuilt = (blocks.data_vectors * blocks.singular_values) @ blocks.image_vectors.T
+        assert np.linalg.norm(rebuilt - a) <= 1e-13 * np.linalg.norm(a)
+        for basis in (blocks.image_vectors, blocks.data_vectors):
+            assert np.abs(basis.T @ basis - np.eye(k)).max() <= 1e-12
+        r = dense.rank
+        p_dense = dense.image_vectors[:, :r] @ dense.image_vectors[:, :r].T
+        p_blocks = blocks.image_vectors[:, :r] @ blocks.image_vectors[:, :r].T
+        assert np.linalg.norm(p_blocks - p_dense) <= 1e-10 * np.linalg.norm(p_dense)
+
+    @pytest.mark.parametrize("shape", FIXED_POINT_GEOMETRIES + [(8, 6, 10)])
+    def test_block_sizes_sum_to_the_matrix(self, shape):
+        geom = _geometry(shape)
+        row_perms, col_perms = linop._symmetry_group(radon.assemble_matrix(geom), geom.mirrors())
+        chars = linop._characters(2)
+        assert chars.shape == (4, 4)
+        rows = [linop._orbit_basis(row_perms, chi)[0].shape[1] for chi in chars]
+        cols = [linop._orbit_basis(col_perms, chi)[0].shape[1] for chi in chars]
+        assert sum(rows) == geom.rows and sum(cols) == geom.cols
+
+    def test_tied_singular_values_keep_character_order(self):
+        # every sigma is 1: the stable merge puts the 20 symmetric directions
+        # (trivial character) before the 20 antisymmetric ones
+        swap = np.arange(40) ^ 1
+        op = svd_decompose(np.eye(40), symmetries=[(swap, swap)])
+        u = op.image_vectors
+        assert np.array_equal(op.singular_values, np.ones(40))
+        assert np.array_equal(u[swap, :20], u[:, :20])
+        assert np.array_equal(u[swap, 20:], -u[:, 20:])
+
+    def test_wrong_pair_rejected(self):
+        geom = _geometry((6, 4, 8))
+        a = radon.assemble_matrix(geom)
+        _, x_cols = geom.mirrors()[0]
+        with pytest.raises(ValueError, match="changes the matrix"):
+            svd_decompose(a, symmetries=[(np.arange(geom.rows), x_cols)])
+
+    def test_malformed_pairs_rejected(self):
+        geom = _geometry((4, 2, 4))
+        a = radon.assemble_matrix(geom)
+        x_flip, y_flip = geom.mirrors()
+        ident = (np.arange(geom.rows), np.arange(geom.cols))
+        shift = (np.roll(np.arange(geom.rows), 1), np.arange(geom.cols))
+        for symmetries in ([ident], [x_flip, x_flip], [shift], [(x_flip[0][:-1], x_flip[1])], [x_flip[0]]):
+            with pytest.raises(ValueError):
+                svd_decompose(a, symmetries=symmetries)
+        svd_decompose(a, symmetries=[y_flip, x_flip])
+
+    def test_no_symmetries_is_one_block(self, rng):
+        m = rng.standard_normal((9, 14))
+        op = svd_decompose(m, symmetries=())
+        np.testing.assert_allclose(op.singular_values, np.linalg.svd(m, compute_uv=False), rtol=1e-13)
+        assert op.matrix is m
+
+    @pytest.mark.parametrize("rows, cols", [(40, 25), (70_000, 9)])
+    def test_vectorised_sign_rule_matches_the_column_loop(self, rng, rows, cols):
+        # ties in magnitude (the first index wins), zero columns and negative
+        # zeros; the second shape is done a few columns at a time
+        u = rng.integers(-3, 4, (rows, cols)).astype(float)
+        u[:, 3] = 0.0
+        u[:, 4] = -0.0
+        u[5, 6], u[9, 6] = -7.0, 7.0
+        v = rng.standard_normal((30, cols))
+        want_u, want_v = u.copy(), v.copy()
+        for n in range(u.shape[1]):
+            pivot = np.argmax(np.abs(want_u[:, n]))
+            if want_u[pivot, n] < 0:
+                want_u[:, n] = -want_u[:, n]
+                want_v[:, n] = -want_v[:, n]
+        linop._canonical_signs(u, v)
+        assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
+        assert np.array_equal(np.signbit(u), np.signbit(want_u))
 
 
 class TestPrefixRanks:

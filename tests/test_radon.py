@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from regnets import radon
+from regnets.linop import svd_decompose
 from regnets.radon import RadonGeometry
 
 
@@ -162,6 +163,37 @@ class TestAssembly:
                     i_neg = int(np.argmin(np.hypot(centers[:, 0] + centers[i, 0], centers[:, 1] + centers[i, 1])))
                     row, row_neg = k * geom.n_detectors + j, k * geom.n_detectors + j_neg
                     assert abs(a[row, i] - a[row_neg, i_neg]) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(5, 4, 7), (6, 5, 8), (4, 1, 3)])
+    def test_mirrors_map_each_line_to_its_mirror_image(self, shape):
+        geom = RadonGeometry(grid_n=shape[0], n_angles=shape[1], n_detectors=shape[2])
+        a = radon.assemble_matrix(geom)
+        centers = geom.grid_centers()
+        theta = np.repeat(geom.angles(), geom.n_detectors)
+        s = np.tile(geom.detector_offsets(), geom.n_angles)
+        lines = np.column_stack([np.cos(theta), np.sin(theta), s])
+        mirrors = geom.mirrors()
+        assert len(mirrors) == 2
+        for (rows, cols), flip in zip(mirrors, ([-1.0, 1.0], [1.0, -1.0])):
+            np.testing.assert_allclose(centers[cols], centers * flip, atol=1e-15)
+            # the line <x, omega> = s goes to <x, flip * omega> = s, up to the sign of (omega, s)
+            want = lines * np.append(flip, 1.0)
+            got = lines[rows]
+            same = np.all(np.abs(got - want) <= 1e-12, axis=1)
+            negated = np.all(np.abs(got + want) <= 1e-12, axis=1)
+            assert np.all(same | negated)
+            assert np.max(np.abs(a[rows][:, cols] - a)) <= 1e-12 * np.max(np.abs(a))
+
+    def test_off_centre_detector_has_no_mirrors(self):
+        geom = RadonGeometry(grid_n=6, n_angles=4, n_detectors=9, detector_min=-1.2, detector_max=1.5)
+        assert geom.mirrors() == ()
+        a = radon.assemble_matrix(geom)
+        op = svd_decompose(a, symmetries=geom.mirrors())
+        rebuilt = (op.data_vectors * op.singular_values) @ op.image_vectors.T
+        assert np.linalg.norm(rebuilt - a) <= 1e-13 * np.linalg.norm(a)
+        centred = RadonGeometry(grid_n=6, n_angles=4, n_detectors=9)
+        with pytest.raises(ValueError):
+            svd_decompose(a, symmetries=centred.mirrors())
 
     def test_deterministic(self):
         geom = RadonGeometry(grid_n=6, n_angles=3, n_detectors=5)
