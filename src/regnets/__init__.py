@@ -4,7 +4,8 @@ discretization of the sparse-angle Radon transform."""
 
 from .analysis import (
     BoundTerms,
-    ExperimentReport,
+    CurveReport,
+    RateReport,
     SourceCondition,
     distance_function,
     error_bound_terms,

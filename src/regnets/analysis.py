@@ -18,7 +18,7 @@ solved exactly in the singular basis.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,9 @@ __all__ = [
     "BoundTerms",
     "CurveRow",
     "RateRow",
-    "ExperimentReport",
+    "CurveReport",
+    "RateReport",
+    "source_element",
     "distance_function",
     "error_bound_terms",
     "param_choice",
@@ -87,24 +89,32 @@ class RateRow:
     error: float
 
 
-@dataclass
-class ExperimentReport:
-    """Container for the experiment outputs; only the relevant fields are
-    populated by each experiment."""
+@dataclass(frozen=True)
+class CurveReport:
+    """One CurveRow per method of a test-set sweep and the MSE-optimal alpha."""
 
-    curve_rows: list = field(default_factory=list)
-    rate_rows: list = field(default_factory=list)
-    slope: float | None = None
-    slope_residual: float | None = None
-    best_alpha: float | None = None
+    rows: list
+    best_alpha: float
 
 
-def distance_function(
-    op: SvdOperator,
-    method: ReconstructionMethod,
-    x,
-    sc: SourceCondition,
-) -> float:
+@dataclass(frozen=True)
+class RateReport:
+    """RateRows sorted by delta and the log-log fit of error against delta."""
+
+    rows: list
+    slope: float
+    slope_residual: float
+
+
+def source_element(op: SvdOperator, sc: SourceCondition, seed: int) -> np.ndarray:
+    """x = (A*A)^mu (rho w/||w||) for a standard-normal direction w drawn
+    from ``default_rng(seed)``: a point of the source set, on its rim."""
+    w = np.random.default_rng(seed).standard_normal(op.cols)
+    w *= sc.rho / np.linalg.norm(w)
+    return op.power_apply(w, sc.mu)
+
+
+def distance_function(method: ReconstructionMethod, x, sc: SourceCondition) -> float:
     """Exact distance of r = x - residual(B_alpha A x) to the source set
     {(A*A)^mu w : ||w|| <= rho}.
 
@@ -114,6 +124,7 @@ def distance_function(
     sum (sigma^(2mu) r_n / (sigma^(4mu) + nu))^2 = rho^2 and is found by
     bisection to 1e-12 relative accuracy.
     """
+    op = method.operator
     x = op._check_coeff(x)
     reg = method.regularizer()
     r = x - method.residual_map(reg.apply_gram(x))
@@ -162,9 +173,9 @@ def error_bound_terms(
     delta: float,
     sc: SourceCondition,
     lipschitz: float,
-    constant: float,
 ) -> BoundTerms:
-    """Evaluate every term of the error estimate and check it holds.
+    """Evaluate every term of the error estimate and check it holds; the
+    approximation constant C is the filter's ``constant(mu)``.
 
     Raises ValueError if the data misfit exceeds delta or the filter's
     qualification is below mu, and ArithmeticError if the verified bound
@@ -187,8 +198,8 @@ def error_bound_terms(
     reg = method.regularizer()
     terms = BoundTerms(
         noise_term=delta * (1.0 + lipschitz) * reg.norm(),
-        approx_term=constant * sc.rho * method.alpha**sc.mu,
-        dist_term=distance_function(op, method, x, sc),
+        approx_term=method.filt.constant(sc.mu) * sc.rho * method.alpha**sc.mu,
+        dist_term=distance_function(method, x, sc),
         a3_term=a3_residual(method, x),
         lhs=float(np.linalg.norm(method.reconstruct(y_delta) - x)),
     )
@@ -225,13 +236,13 @@ def rate_experiment(
     seed: int,
     family: RegNetFamily | None = None,
     scale: float = 1.0,
-) -> ExperimentReport:
+) -> RateReport:
     """Error against noise level under the a-priori parameter choice.
 
     The truth is synthesized to satisfy the assumptions: classically as
-    x = (A*A)^mu (rho * w/||w||) for a seeded direction w; for a learned
-    family as x = z + kernel_residual(z) with z in the range of the
-    pseudo-inverse and the alpha-min member supplying the kernel map.
+    ``source_element(op, sc, seed)``; for a learned family as x = z +
+    kernel_residual(z) with z in the range of the pseudo-inverse and the
+    alpha-min member supplying the kernel map.
     Noise has exact l2 norm delta; every delta must be positive.
     """
     deltas = [float(d) for d in deltas]
@@ -242,13 +253,10 @@ def rate_experiment(
     if np.log10(max(deltas)) - np.log10(min(deltas)) < 3.0 - 1e-12:
         raise ValueError("noise levels must span at least 3 decades")
 
-    rng = np.random.default_rng(seed)
     if family is None:
-        w = rng.standard_normal(op.cols)
-        w *= sc.rho / np.linalg.norm(w)
-        x = op.power_apply(w, sc.mu)
+        x = source_element(op, sc, seed)
     else:
-        z = rng.standard_normal(op.cols)
+        z = np.random.default_rng(seed).standard_normal(op.cols)
         z = z - op.kernel_project(z)
         z *= sc.rho / np.linalg.norm(z)
         _, params_min = family.members[-1]
@@ -270,7 +278,7 @@ def rate_experiment(
     rows.sort(key=lambda r: r.delta)
     fit_rows = [r for r in rows if r.error > 0]
     slope, resid = fit_loglog_slope([r.delta for r in fit_rows], [r.error for r in fit_rows])
-    return ExperimentReport(rate_rows=rows, slope=slope, slope_residual=resid)
+    return RateReport(rows=rows, slope=slope, slope_residual=resid)
 
 
 def rescale_unit(img) -> np.ndarray:
@@ -288,11 +296,12 @@ def _item_noise_seed(base_seed: int, y: np.ndarray) -> int:
     return (int(base_seed) + zlib.crc32(y.tobytes())) % (2**63)
 
 
-def evaluate_testset(methods, truths, sinograms, delta: float, seed: int) -> ExperimentReport:
+def evaluate_testset(methods, truths, sinograms, delta: float, seed: int) -> CurveReport:
     """Mean MSE / MAE over a test set for each method, after rescaling both
     reconstruction and truth to [0, 1]; reports the MSE-optimal alpha.
 
-    ``methods`` need an ``alpha`` attribute and a ``reconstruct(y)`` method;
+    ``methods`` need ``alpha`` and ``kept_count`` attributes and a
+    ``reconstruct(y)`` method;
     noise follows the max-scaled Gaussian convention, seeded per item.
     """
     truths = [np.asarray(t, dtype=float) for t in truths]
@@ -312,10 +321,10 @@ def evaluate_testset(methods, truths, sinograms, delta: float, seed: int) -> Exp
         rows.append(
             CurveRow(
                 alpha=float(m.alpha),
-                kept=int(getattr(m, "kept_count", 0)),
+                kept=int(m.kept_count),
                 mse=float(np.mean(sq)),
                 mae=float(np.mean(ab)),
             )
         )
     best = min(rows, key=lambda r: r.mse)
-    return ExperimentReport(curve_rows=rows, best_alpha=best.alpha)
+    return CurveReport(rows=rows, best_alpha=best.alpha)

@@ -214,12 +214,17 @@ def cmd_train(cfg: RunConfig) -> int:
     truths = storage.read_array(cfg.train_path)
     if truths.shape[0] == 0:
         raise ValueError("empty training set")
+    alphas = cfg.alpha_list()
+    # the family's own check, before the first step: each alpha finite,
+    # positive and given once (the members are stored in any order)
+    untrained = [(a, None) for a in sorted(alphas, reverse=True)]
+    regnet.RegNetFamily(cfg.method, op, filt, untrained, lipschitz_cap=0.0)
     grid_n = int(round(op.cols**0.5))
     arch = cfg.arch(grid_n)
     sinograms = truths @ op.matrix.T  # noise-free data
 
     members, caps = [], []
-    for idx, alpha in enumerate(cfg.alpha_list()):
+    for idx, alpha in enumerate(alphas):
         base = FilterRegularizer(op, filt, alpha).apply(sinograms)
         project = regnet.residual_projection(cfg.method, op, alpha)
         params = network.init_network(arch, cfg.seed + 1000 * idx)
@@ -335,7 +340,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, (report, meta) in reports.items():
-        rows = [astuple(r) for r in report.curve_rows]
+        rows = [astuple(r) for r in report.rows]
         storage.write_csv(out_dir / name, ("alpha", "kept", "mse", "mae"), rows, meta)
         print(f"evaluate: wrote {out_dir / name} (best alpha {report.best_alpha:g})")
     storage.write_keyvalue(out_dir / "selection.txt", selection, cfg.meta())
@@ -355,7 +360,7 @@ def cmd_rates(cfg: RunConfig) -> int:
     }
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = [astuple(r) for r in report.rate_rows]
+    rows = [astuple(r) for r in report.rows]
     storage.write_csv(out_dir / "rates.csv", ("delta", "alpha", "error"), rows, cfg.meta())
     storage.write_keyvalue(out_dir / "slope.txt", summary, cfg.meta())
     print(f"rates: slope {report.slope:.4f} (theory {theory:.4f}) -> {out_dir / 'rates.csv'}")
@@ -365,13 +370,10 @@ def cmd_rates(cfg: RunConfig) -> int:
 def cmd_distfn(cfg: RunConfig) -> int:
     op, filt = _load_operator(cfg)
     sc = analysis.SourceCondition(mu=cfg.mu, rho=cfg.rho)
-    rng = np.random.default_rng(cfg.seed)
-    w = rng.standard_normal(op.cols)
-    w *= sc.rho / np.linalg.norm(w)
-    x = op.power_apply(w, sc.mu)
+    x = analysis.source_element(op, sc, cfg.seed)
     lines = {
         f"alpha_{alpha:g}": repr(analysis.distance_function(
-            op, regnet.ReconstructionMethod(regnet.CLASSICAL, op, filt, alpha), x, sc
+            regnet.ReconstructionMethod(regnet.CLASSICAL, op, filt, alpha), x, sc
         )) for alpha in cfg.alpha_list()
     }
     out_dir = Path(cfg.out_dir)
@@ -382,7 +384,8 @@ def cmd_distfn(cfg: RunConfig) -> int:
 
 
 def cmd_checkfilter(cfg: RunConfig) -> int:
-    # the report is the verdict: it is written also when the filter fails (exit 2)
+    # the report is the verdict: it is written also when the filter fails
+    # (exit 2), but not for a lambda_max that is not finite and positive
     filt = _make_cfg_filter(cfg, cfg.lambda_max)
     alphas = np.logspace(-1, -6, 6)
     report = verify_filter_axioms(filt, cfg.lambda_max, alphas)
@@ -398,7 +401,7 @@ def cmd_checkfilter(cfg: RunConfig) -> int:
             continue
         worst = 0.0
         for alpha in np.logspace(-6, 0, 7):
-            sup = qualification_sup(filt, alpha, mu, cfg.lambda_max, 100_000)
+            sup = qualification_sup(filt, alpha, mu, cfg.lambda_max)
             worst = max(worst, float(sup / (filt.constant(mu) * alpha**mu)))
         lines[f"qualification_ratio_mu{mu:g}"] = repr(worst)
     out_dir = Path(cfg.out_dir)

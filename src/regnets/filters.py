@@ -210,23 +210,18 @@ class FilterRegularizer:
         return float(np.max(np.abs(self._gain())))
 
 
-def qualification_sup(
-    filt: RegularizingFilter,
-    alpha: float,
-    mu: float,
-    lambda_max: float,
-    grid_size: int = 100_000,
-) -> float:
-    """Grid supremum of lambda^mu |1 - lambda g_alpha(lambda)| on [0, lambda_max].
+def qualification_sup(filt: RegularizingFilter, alpha: float, mu: float, lambda_max: float) -> float:
+    """Grid supremum of lambda^mu |1 - lambda g_alpha(lambda)| on [0, lambda_max],
+    over 100,000 equidistant points.
 
     The grid is refined just below lambda = alpha, where the hard-cut
     filter attains its supremum.
     """
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    if grid_size < 1000:
-        raise ValueError(f"grid_size must be at least 1000, got {grid_size}")
-    grid = np.linspace(0.0, lambda_max, grid_size)
+    if not (np.isfinite(lambda_max) and lambda_max > 0):
+        raise ValueError(f"lambda_max must be finite and positive, got {lambda_max}")
+    grid = np.linspace(0.0, lambda_max, 100_000)
     if 0.0 < alpha <= lambda_max:
         grid = np.concatenate([grid, [np.nextafter(alpha, 0.0), alpha]])
     residual = np.abs(1.0 - grid * filt.value(alpha, grid))
@@ -253,15 +248,11 @@ class FilterAxiomReport:
         return self.bounded and self.convergent
 
 
-def verify_filter_axioms(
-    filt,
-    lambda_max: float,
-    alphas,
-    probe_lambdas=None,
-    grid_size: int = 2001,
-) -> FilterAxiomReport:
+def verify_filter_axioms(filt, lambda_max: float, alphas) -> FilterAxiomReport:
     """Check boundedness of lambda g_alpha(lambda) and pointwise convergence
-    g_alpha(lambda) -> 1/lambda along a descending alpha sequence.
+    g_alpha(lambda) -> 1/lambda along a descending alpha sequence, on 2001
+    equidistant points of [0, lambda_max] and at the probes lambda_max
+    times 1e-3, 1e-2, 1e-1, 0.5 and 1.
 
     Boundedness is flagged heuristically when the per-alpha suprema blow up
     by more than a factor 10 over the sweep; convergence requires each
@@ -274,11 +265,11 @@ def verify_filter_axioms(
         raise ValueError("need a descending list of at least two alphas")
     if np.any(alphas <= 0) or np.any(np.diff(alphas) >= 0):
         raise ValueError("alphas must be positive and strictly descending")
+    if not (np.isfinite(lambda_max) and lambda_max > 0):
+        raise ValueError(f"lambda_max must be finite and positive, got {lambda_max}")
 
-    grid = np.linspace(0.0, lambda_max, grid_size)
-    if probe_lambdas is None:
-        probe_lambdas = lambda_max * np.array([1e-3, 1e-2, 1e-1, 0.5, 1.0])
-    probe_lambdas = np.asarray(probe_lambdas, dtype=float)
+    grid = np.linspace(0.0, lambda_max, 2001)
+    probe_lambdas = lambda_max * np.array([1e-3, 1e-2, 1e-1, 0.5, 1.0])
 
     per_alpha_sup = np.array(
         [np.max(np.abs(grid * filt.value(a, grid))) for a in alphas]

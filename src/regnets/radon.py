@@ -100,10 +100,6 @@ class RadonGeometry:
             raise ValueError("empty detector interval")
 
     @classmethod
-    def desk(cls) -> "RadonGeometry":
-        return cls(grid_n=64, n_angles=15, n_detectors=64)
-
-    @classmethod
     def paper_scale(cls) -> "RadonGeometry":
         return cls(grid_n=128, n_angles=30, n_detectors=200)
 
@@ -179,28 +175,25 @@ class Phantom:
     ellipses: tuple
 
 
-def gen_phantom(
-    seed: int,
-    grid_n: int,
-    count_range: tuple = (5, 10),
-    intensity_range: tuple = (-0.5, 1.0),
-    axis_range: tuple = (0.05, 0.6),
-    center_bound: float = 0.7,
-) -> Phantom:
+# the phantom recipe: ellipse count, centre box, semi-axes, additive values
+_ELLIPSE_COUNT = (5, 10)
+_CENTER_BOUND = 0.7
+_AXIS_RANGE = (0.05, 0.6)
+_VALUE_RANGE = (-0.5, 1.0)
+
+
+def gen_phantom(seed: int, grid_n: int) -> Phantom:
     """Random superposition of tilted ellipses, rasterized at the blob grid
     centers and clipped to [0, 1].  Deterministic per seed."""
-    lo, hi = count_range
-    if lo < 0 or hi < lo:
-        raise ValueError(f"bad ellipse count range {count_range}")
     rng = np.random.default_rng(seed)
-    count = int(rng.integers(lo, hi + 1))
+    count = int(rng.integers(_ELLIPSE_COUNT[0], _ELLIPSE_COUNT[1] + 1))
 
     ellipses = []
     for _ in range(count):
-        cx, cy = rng.uniform(-center_bound, center_bound, 2)
-        ax, ay = rng.uniform(axis_range[0], axis_range[1], 2)
+        cx, cy = rng.uniform(-_CENTER_BOUND, _CENTER_BOUND, 2)
+        ax, ay = rng.uniform(*_AXIS_RANGE, 2)
         tilt = rng.uniform(0.0, np.pi)
-        value = rng.uniform(intensity_range[0], intensity_range[1])
+        value = rng.uniform(*_VALUE_RANGE)
         ellipses.append(Ellipse(cx, cy, ax, ay, tilt, value))
 
     centers = _grid_centers(grid_n)
@@ -235,8 +228,4 @@ def add_noise_exact(y, delta: float, seed: int) -> np.ndarray:
     if delta == 0:
         return y.copy()
     g = np.random.default_rng(seed).standard_normal(y.shape)
-    norm = np.linalg.norm(g)
-    if norm == 0:
-        g = np.ones_like(y)
-        norm = np.linalg.norm(g)
-    return y + (delta / norm) * g
+    return y + (delta / np.linalg.norm(g)) * g

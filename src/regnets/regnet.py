@@ -150,8 +150,8 @@ class RegNetFamily:
         alphas = [a for a, _ in self.members]
         if not alphas:
             raise ValueError("family needs at least one member")
-        if any(a <= 0 for a in alphas) or any(b >= a for a, b in zip(alphas, alphas[1:])):
-            raise ValueError("member alphas must be positive and strictly descending")
+        if not np.all(np.isfinite(alphas)) or min(alphas) <= 0 or np.any(np.diff(alphas) >= 0):
+            raise ValueError("member alphas must be finite, positive and strictly descending")
 
     @property
     def alphas(self) -> np.ndarray:

@@ -12,6 +12,7 @@ from regnets.analysis import (
     param_choice,
     rate_experiment,
     rescale_unit,
+    source_element,
 )
 from regnets.filters import TikhonovFilter, TruncatedSvdFilter
 from regnets.linop import svd_decompose
@@ -29,19 +30,26 @@ class TestDistanceFunction:
         w = rng.standard_normal(small_op.cols)
         w *= 1.5 / np.linalg.norm(w)
         x = small_op.power_apply(w, sc.mu)
-        assert distance_function(small_op, classical(small_op, 0.1), x, sc) <= 1e-10
+        assert distance_function(classical(small_op, 0.1), x, sc) <= 1e-10
+
+    def test_source_element_is_in_the_source_set(self, small_op):
+        sc = SourceCondition(mu=0.7, rho=0.3)
+        x = source_element(small_op, sc, 5)
+        w = np.random.default_rng(5).standard_normal(small_op.cols)
+        np.testing.assert_array_equal(x, small_op.power_apply(w * (sc.rho / np.linalg.norm(w)), sc.mu))
+        assert distance_function(classical(small_op, 0.1), x, sc) <= 1e-10
 
     def test_kernel_element_keeps_full_norm(self, small_op, rng):
         sc = SourceCondition(mu=0.5, rho=5.0)
         x = small_op.kernel_project(rng.standard_normal(small_op.cols))
-        got = distance_function(small_op, classical(small_op, 0.1), x, sc)
+        got = distance_function(classical(small_op, 0.1), x, sc)
         assert got == pytest.approx(np.linalg.norm(x), rel=1e-12)
 
     def test_against_projected_gradient_oracle(self, small_op, rng):
         for trial in range(25):
             r = rng.standard_normal(small_op.cols)
             sc = SourceCondition(mu=float(rng.uniform(0.3, 1.5)), rho=float(rng.uniform(0.05, 0.5)))
-            got = distance_function(small_op, classical(small_op, 0.1), r, sc)
+            got = distance_function(classical(small_op, 0.1), r, sc)
             want = projected_gradient_distance(small_op, r, sc.mu, sc.rho)
             assert got == pytest.approx(want, rel=1e-6)
 
@@ -49,7 +57,7 @@ class TestDistanceFunction:
         x = rng.standard_normal(small_op.cols)
         m = classical(small_op, 0.1)
         values = [
-            distance_function(small_op, m, x, SourceCondition(mu=0.5, rho=rho))
+            distance_function(m, x, SourceCondition(mu=0.5, rho=rho))
             for rho in (0.01, 0.1, 1.0, 10.0)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
@@ -57,7 +65,7 @@ class TestDistanceFunction:
     def test_unconstrained_regime_returns_kernel_mass(self, small_op, rng):
         sc = SourceCondition(mu=0.5, rho=1e9)  # ball never binds
         x = rng.standard_normal(small_op.cols)
-        got = distance_function(small_op, classical(small_op, 0.1), x, sc)
+        got = distance_function(classical(small_op, 0.1), x, sc)
         want = np.linalg.norm(small_op.kernel_project(x))
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -71,11 +79,21 @@ class TestErrorBound:
         sigma_min = tall_op.singular_values[: tall_op.rank][-1]
         alpha = 0.5 * sigma_min**2  # nothing truncated
         m = classical(tall_op, alpha)
-        terms = error_bound_terms(m, x, tall_op.forward(x), 0.0, sc, 0.0, 1.0)
+        terms = error_bound_terms(m, x, tall_op.forward(x), 0.0, sc, 0.0)
         assert terms.noise_term == 0.0
         assert terms.dist_term <= 1e-10
         assert terms.a3_term == 0.0
         assert terms.lhs <= 1e-8
+
+    def test_approximation_constant_is_the_filters(self, small_op, rng):
+        # Tikhonov at mu = 0.5 has C = 0.5^0.5 * 0.5^0.5 = 0.5, not TSVD's 1
+        sc = SourceCondition(mu=0.5, rho=1.0)
+        alpha = 0.1
+        x = rng.standard_normal(small_op.cols)
+        m = classical(small_op, alpha, TikhonovFilter())
+        terms = error_bound_terms(m, x, small_op.forward(x), 0.0, sc, 0.0)
+        assert terms.approx_term == pytest.approx(0.5 * sc.rho * alpha**0.5, rel=1e-12)
+        assert terms.lhs <= terms.rhs + 1e-9
 
     def test_continued_a3_term_zero(self, small_op, rng):
         sc = SourceCondition(mu=0.5, rho=1.0)
@@ -85,7 +103,7 @@ class TestErrorBound:
         m = ReconstructionMethod(CONTINUED, small_op, TruncatedSvdFilter(), alpha, params)
         x = rng.standard_normal(small_op.cols)
         y = small_op.forward(x)
-        terms = error_bound_terms(m, x, y, 0.0, sc, network.lipschitz_upper_bound(params), 1.0)
+        terms = error_bound_terms(m, x, y, 0.0, sc, network.lipschitz_upper_bound(params))
         assert terms.a3_term <= 1e-12
 
     def test_randomized_instances_respect_bound(self, small_op, rng):
@@ -105,7 +123,7 @@ class TestErrorBound:
             y = small_op.forward(x)
             z = rng.standard_normal(small_op.rows)
             y_delta = y + delta * rng.uniform(0.1, 1.0) * z / np.linalg.norm(z)
-            terms = error_bound_terms(m, x, y_delta, delta, sc, 0.0 if variant == CLASSICAL else lip, 1.0)
+            terms = error_bound_terms(m, x, y_delta, delta, sc, 0.0 if variant == CLASSICAL else lip)
             assert terms.lhs <= terms.rhs + 1e-9
 
     def test_misfit_precondition(self, small_op, rng):
@@ -113,14 +131,14 @@ class TestErrorBound:
         x = rng.standard_normal(small_op.cols)
         y_far = small_op.forward(x) + 1.0
         with pytest.raises(ValueError):
-            error_bound_terms(classical(small_op, 0.1), x, y_far, 1e-6, sc, 0.0, 1.0)
+            error_bound_terms(classical(small_op, 0.1), x, y_far, 1e-6, sc, 0.0)
 
     def test_qualification_precondition(self, small_op, rng):
         sc = SourceCondition(mu=1.5, rho=1.0)  # above Tikhonov's order
         x = rng.standard_normal(small_op.cols)
         y = small_op.forward(x)
         with pytest.raises(ValueError):
-            error_bound_terms(classical(small_op, 0.1, TikhonovFilter()), x, y, 0.0, sc, 0.0, 1.0)
+            error_bound_terms(classical(small_op, 0.1, TikhonovFilter()), x, y, 0.0, sc, 0.0)
 
 
 class TestParamChoice:
@@ -154,7 +172,7 @@ class TestRateExperiment:
         # 1e-2 / 1e-5 rounds to 999.9999999999999
         deltas = [1e-5, 1e-4, 1e-3, 1e-2]
         report = rate_experiment(tiny_radon_op, TruncatedSvdFilter(), SourceCondition(mu=0.5, rho=1.0), deltas, seed=0)
-        assert [r.delta for r in report.rate_rows] == deltas
+        assert [r.delta for r in report.rows] == deltas
 
     def test_non_positive_delta_rejected(self, tiny_radon_op):
         # a noise level <= 0 has no a-priori alpha and no place on the log-log fit
@@ -169,7 +187,7 @@ class TestRateExperiment:
         report = rate_experiment(
             tiny_radon_op, TruncatedSvdFilter(), sc, [1e-2, 1e-6, 1e-4, 1e-3, 1e-5], seed=0, scale=10.0
         )
-        deltas = [r.delta for r in report.rate_rows]
+        deltas = [r.delta for r in report.rows]
         assert deltas == sorted(deltas)
 
     @pytest.mark.parametrize("variant", [NULLSPACE, CONTINUED])
@@ -185,8 +203,8 @@ class TestRateExperiment:
         report = rate_experiment(
             tiny_radon_op, TruncatedSvdFilter(), sc, deltas, seed=0, family=family
         )
-        assert all(r.alpha in alphas for r in report.rate_rows)
-        errors = [r.error for r in report.rate_rows]
+        assert all(r.alpha in alphas for r in report.rows)
+        errors = [r.error for r in report.rows]
         assert errors[0] < 0.1 * errors[-1]
         assert np.isfinite(report.slope) and report.slope > 0
 
@@ -218,16 +236,16 @@ class TestEvaluateTestset:
     def test_identity_oracle_scores_zero(self, tiny_radon_op, rng):
         truths, sinograms = self._testset(tiny_radon_op, rng)
         report = evaluate_testset([IdentityOracle(truths)], truths, sinograms, 0.05, seed=1)
-        assert report.curve_rows[0].mse == 0.0
-        assert report.curve_rows[0].mae == 0.0
+        assert report.rows[0].mse == 0.0
+        assert report.rows[0].mae == 0.0
 
     def test_duplicated_item_leaves_mean_unchanged(self, tiny_radon_op, rng):
         truths, sinograms = self._testset(tiny_radon_op, rng, count=1)
         m = classical(tiny_radon_op, 1e-3)
         single = evaluate_testset([m], truths, sinograms, 0.05, seed=1)
         repeated = evaluate_testset([m], truths * 5, sinograms * 5, 0.05, seed=1)
-        assert single.curve_rows[0].mse == repeated.curve_rows[0].mse
-        assert single.curve_rows[0].mae == repeated.curve_rows[0].mae
+        assert single.rows[0].mse == repeated.rows[0].mse
+        assert single.rows[0].mae == repeated.rows[0].mae
 
     def test_affine_rescaling_invariance(self, tiny_radon_op, rng):
         truths, sinograms = self._testset(tiny_radon_op, rng)
@@ -241,14 +259,14 @@ class TestEvaluateTestset:
 
         plain = evaluate_testset([base], truths, sinograms, 0.05, seed=1)
         scaled = evaluate_testset([Affine()], truths, sinograms, 0.05, seed=1)
-        assert plain.curve_rows[0].mse == pytest.approx(scaled.curve_rows[0].mse, abs=1e-14)
+        assert plain.rows[0].mse == pytest.approx(scaled.rows[0].mse, abs=1e-14)
 
     def test_best_alpha_reported(self, tiny_radon_op, rng):
         truths, sinograms = self._testset(tiny_radon_op, rng)
         sigma = tiny_radon_op.singular_values[: tiny_radon_op.rank]
         methods = [classical(tiny_radon_op, float(sigma[k] ** 2)) for k in (10, 30, 60)]
         report = evaluate_testset(methods, truths, sinograms, 0.02, seed=1)
-        best = min(report.curve_rows, key=lambda r: r.mse)
+        best = min(report.rows, key=lambda r: r.mse)
         assert report.best_alpha == best.alpha
 
     def test_empty_set_rejected(self, tiny_radon_op):

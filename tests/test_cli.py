@@ -297,10 +297,29 @@ class TestFailedRunWritesNothing:
         assert snapshot(workspace / "out") == before
 
     def test_retrain_with_bad_alpha_keeps_the_family(self, workspace):
-        # the second alpha fails only after the first member has trained
         run("assemble", "--config", "run.cfg")
         run("phantoms", "--config", "run.cfg")
         assert run("train", "--config", "run.cfg") == 0
         before = snapshot(workspace / "models" / "continued")
         assert run("train", "--config", "run.cfg", "--alpha", "3e-3,-1") == 2
         assert snapshot(workspace / "models" / "continued") == before
+
+    @pytest.mark.parametrize("alphas", ["2e-3,2e-3", "5e-4,2e-3,5e-4", "2e-3,nan", "inf"])
+    def test_retrain_with_invalid_alpha_list_keeps_the_family(self, workspace, capsys, alphas):
+        # every later command rejects a family with an alpha twice; train
+        # rejects the list before its first step
+        run("assemble", "--config", "run.cfg")
+        run("phantoms", "--config", "run.cfg")
+        assert run("train", "--config", "run.cfg") == 0
+        before = snapshot(workspace / "models" / "continued")
+        capsys.readouterr()
+        assert run("train", "--config", "run.cfg", "--alpha", alphas) == 2
+        assert "epoch=" not in capsys.readouterr().out
+        assert snapshot(workspace / "models" / "continued") == before
+
+    @pytest.mark.parametrize("lambda_max", ["0", "-1", "nan", "inf"])
+    def test_checkfilter_invalid_lambda_max_writes_no_report(self, workspace, lambda_max):
+        # an invalid input is not a verdict: no report, unlike a failing filter
+        (workspace / "lm.cfg").write_text(TINY_CONFIG + f"lambda_max={lambda_max}\n")
+        assert run("checkfilter", "--config", "lm.cfg") == 2
+        assert not (workspace / "out").exists()
