@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""Compare this tree's end-to-end benchmark metrics with a git revision's.
+
+    scripts/bench_pairs.py <rev> <pairs> <first_seed>
+
+The revision is checked out with `git worktree add --detach` into a
+temporary directory that is removed on exit.  For each workload of
+BENCHMARK.json, pair i runs
+
+    python3 pipebench/run.py --workload <w> --seed <first_seed + i> --seconds <run_seconds> --trace 0
+
+once in each tree, from that tree's root; the revision runs first in
+even pairs and this tree first in odd ones.  BENCHMARK.json and
+pipebench/ are only read.  For each end-to-end metric the script prints
+the revision's and this tree's medians, the interquartile range of the
+revision's runs, the pairs this tree won and whether this tree's median
+is within the metric's bound (a relative worsening of at most `bound`).
+
+Exit 0 when every run is correct with 0 failed operations and every
+median is within its bound; 1 otherwise; 2 on a usage error.  Standard
+library only; not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import json
+import signal
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN_TIMEOUT_S = 600
+
+
+def usage(message: str) -> int:
+    print(f"{sys.argv[0]}: {message}\nusage: {sys.argv[0]} <rev> <pairs> <first_seed>", file=sys.stderr)
+    return 2
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds) -> dict | None:
+    """The final JSON line of one benchmark run, or None if it failed."""
+    argv = [
+        "python3", "pipebench/run.py", "--workload", workload, "--seed", str(seed),
+        "--seconds", str(seconds), "--trace", "0",
+    ]
+    try:
+        proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        print(f"  {workload} seed {seed} in {tree}: timed out", file=sys.stderr)
+        return None
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = None
+    if proc.returncode != 0 or not isinstance(result, dict):
+        print(f"  {workload} seed {seed} in {tree}: exit {proc.returncode}: {proc.stderr.strip()[-500:]}", file=sys.stderr)
+        return None
+    return result
+
+
+def iqr(values) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def compare(bench: dict, base: Path, pairs: int, first_seed: int) -> bool:
+    ok = True
+    for workload in (w["name"] for w in bench["workloads"]):
+        runs = {"rev": [], "this": []}
+        for i in range(pairs):
+            seed = first_seed + i
+            order = (("rev", base), ("this", ROOT)) if i % 2 == 0 else (("this", ROOT), ("rev", base))
+            for side, tree in order:
+                result = run_once(tree, workload, seed, bench["run_seconds"])
+                good = result is not None and result.get("correct") is True and result.get("failed") == 0
+                ok &= good
+                runs[side].append(result["metrics"] if good else None)
+                status = "FAILED"
+                if good:
+                    status = " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.4g}" for m in bench["end_to_end"])
+                print(f"  {workload} seed {seed} {side}: {status}", file=sys.stderr)
+        complete = [k for k in range(pairs) if runs["rev"][k] is not None and runs["this"][k] is not None]
+        print(f"{workload}: {len(complete)} of {pairs} pairs complete, seeds {first_seed}-{first_seed + pairs - 1}")
+        print(f"  {'metric':<14}{'rev median':>12}{'this median':>13}{'rev IQR':>10}{'wins':>7}{'bound':>7}  verdict")
+        for metric in bench["end_to_end"]:
+            name, lower = metric["name"], metric["better"] == "lower"
+            if not complete:
+                print(f"  {name:<14}{'no complete pair':>42}  FAIL")
+                ok = False
+                continue
+            rev = [runs["rev"][k][name]["value"] for k in complete]
+            this = [runs["this"][k][name]["value"] for k in complete]
+            wins = sum((b < a) if lower else (b > a) for a, b in zip(rev, this))
+            rev_med, this_med = statistics.median(rev), statistics.median(this)
+            limit = rev_med * (1 + metric["bound"]) if lower else rev_med * (1 - metric["bound"])
+            within = this_med <= limit if lower else this_med >= limit
+            ok &= within
+            print(
+                f"  {name:<14}{rev_med:>12.4g}{this_med:>13.4g}{iqr(rev):>10.3g}"
+                f"{f'{wins}/{len(complete)}':>7}{metric['bound']:>7.0%}  {'ok' if within else 'WORSE'}"
+            )
+    return ok
+
+
+def main(argv) -> int:
+    if len(argv) != 3:
+        return usage("expected three arguments")
+    rev, pairs, first_seed = argv
+    try:
+        pairs, first_seed = int(pairs), int(first_seed)
+    except ValueError:
+        return usage("<pairs> and <first_seed> must be integers")
+    if pairs < 1:
+        return usage("<pairs> must be at least 1")
+    resolved = subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"],
+        capture_output=True, text=True,
+    )
+    if resolved.returncode != 0:
+        return usage(f"not a revision: {rev}")
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+    # a signal ends the run through the finally below, which removes the worktree
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(130))
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "rev"
+        subprocess.run(
+            ["git", "-C", str(ROOT), "worktree", "add", "--quiet", "--detach", str(base), resolved.stdout.strip()],
+            check=True,
+        )
+        try:
+            ok = compare(bench, base, pairs, first_seed)
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(base)], capture_output=True)
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], capture_output=True)
+    print("within every bound" if ok else "a run failed or a median is outside its bound")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

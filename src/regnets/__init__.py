@@ -28,7 +28,6 @@ from .network import (
     NetworkArch,
     NetworkParams,
     TrainState,
-    forward,
     grad_backprop,
     init_network,
     lipschitz_upper_bound,

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import network
 from .linop import SvdOperator
-from .regnet import CLASSICAL, ReconstructionMethod, RegNetFamily, a3_residual
+from .regnet import CLASSICAL, ReconstructionMethod, RegNetFamily, a3_residual, nullspace_residual
 from .radon import add_noise, add_noise_exact
 
 __all__ = [
@@ -122,7 +121,8 @@ def distance_function(method: ReconstructionMethod, x, sc: SourceCondition) -> f
     r_n / sigma_n^(2 mu); if it fits in the rho-ball the distance is the
     kernel mass of r, otherwise the active-ball multiplier nu solves
     sum (sigma^(2mu) r_n / (sigma^(4mu) + nu))^2 = rho^2 and is found by
-    bisection to 1e-12 relative accuracy.
+    bisection to 1e-12 relative accuracy.  The sum is at most
+    ||sigma^(2mu) r||^2 / nu^2, so nu = ||sigma^(2mu) r|| / rho brackets it.
     """
     op = method.operator
     x = op._check_coeff(x)
@@ -144,16 +144,7 @@ def distance_function(method: ReconstructionMethod, x, sc: SourceCondition) -> f
         return float(w @ w)
 
     target = sc.rho**2
-    hi = float(np.max(s)) ** 2
-    if hi <= 0:
-        raise RuntimeError("bisection bracket failure: degenerate spectrum")
-    doublings = 0
-    while ball_norm_sq(hi) > target:
-        hi *= 2.0
-        doublings += 1
-        if doublings > 2000:
-            raise RuntimeError("bisection bracket failure: multiplier bracket not found")
-    lo = 0.0
+    lo, hi = 0.0, float(np.linalg.norm(s * coef)) / sc.rho
     while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
         if ball_norm_sq(mid) > target:
@@ -241,8 +232,10 @@ def rate_experiment(
 
     The truth is synthesized to satisfy the assumptions: classically as
     ``source_element(op, sc, seed)``; for a learned family as x = z +
-    kernel_residual(z) with z in the range of the pseudo-inverse and the
-    alpha-min member supplying the kernel map.
+    nullspace_residual(z) with z in the range of the pseudo-inverse and the
+    alpha-min member's network.  Either variant's learned truth uses that
+    kernel residual, also for a continued family, whose members project
+    onto sigma^2 < alpha and not onto the kernel.
     Noise has exact l2 norm delta; every delta must be positive.
     """
     deltas = [float(d) for d in deltas]
@@ -260,7 +253,7 @@ def rate_experiment(
         z = z - op.kernel_project(z)
         z *= sc.rho / np.linalg.norm(z)
         _, params_min = family.members[-1]
-        x = z + op.kernel_project(network.forward(params_min, z))
+        x = z + nullspace_residual(op, params_min, z)
     y = op.forward(x)
 
     rows = []
@@ -302,20 +295,21 @@ def evaluate_testset(methods, truths, sinograms, delta: float, seed: int) -> Cur
 
     ``methods`` need ``alpha`` and ``kept_count`` attributes and a
     ``reconstruct(y)`` method;
-    noise follows the max-scaled Gaussian convention, seeded per item.
+    noise follows the max-scaled Gaussian convention, seeded per item and
+    drawn once for all methods.
     """
-    truths = [np.asarray(t, dtype=float) for t in truths]
+    truths = [rescale_unit(t) for t in truths]
     sinograms = [np.asarray(s, dtype=float) for s in sinograms]
     if not truths or len(truths) != len(sinograms):
         raise ValueError("test set must be non-empty with matching truths and sinograms")
 
+    noisy = [add_noise(y, delta, _item_noise_seed(seed, y)) for y in sinograms]
     rows = []
     for m in methods:
         sq = []
         ab = []
-        for truth, y in zip(truths, sinograms):
-            y_delta = add_noise(y, delta, _item_noise_seed(seed, y))
-            diff = rescale_unit(m.reconstruct(y_delta)) - rescale_unit(truth)
+        for truth, y_delta in zip(truths, noisy):
+            diff = rescale_unit(m.reconstruct(y_delta)) - truth
             sq.append(float(np.mean(diff**2)))
             ab.append(float(np.mean(np.abs(diff))))
         rows.append(

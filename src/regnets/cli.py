@@ -197,13 +197,19 @@ def cmd_phantoms(cfg: RunConfig) -> int:
     geom = cfg.geometry()
     train_seeds = range(cfg.seed, cfg.seed + cfg.train_count)
     test_seeds = range(cfg.seed + 1_000_000, cfg.seed + 1_000_000 + cfg.test_count)
+    for path in (cfg.train_path, cfg.test_path):
+        if not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"no directory for {path}")
+    sets = []
     for path, seeds in ((cfg.train_path, train_seeds), (cfg.test_path, test_seeds)):
         items = [radon.gen_phantom(s, geom.grid_n).coeffs for s in seeds]
         data = np.vstack(items) if items else np.zeros((0, geom.cols))
         meta = cfg.meta()
         meta.update(count=len(items), grid_n=geom.grid_n, first_seed=seeds.start)
+        sets.append((path, data, meta))
+    for path, data, meta in sets:
         storage.write_array(path, data, meta)
-        print(f"phantoms: wrote {len(items)} phantoms to {path}")
+        print(f"phantoms: wrote {data.shape[0]} phantoms to {path}")
     return 0
 
 
@@ -230,7 +236,7 @@ def cmd_train(cfg: RunConfig) -> int:
         params = network.init_network(arch, cfg.seed + 1000 * idx)
         state = network.TrainState(lr=cfg.lr, momentum=cfg.momentum)
         history = network.train(
-            params, state, base, truths, offsets=base, project=project,
+            params, state, base, truths, project=project,
             epochs=cfg.epochs, batch_size=cfg.batch_size, shuffle_seed=cfg.seed + idx,
         )
         for epoch, loss in enumerate(history):

@@ -29,9 +29,9 @@ about 1/|G|^3 of the whole; the block singular vectors are scattered back
 to full length.  The merged system is sorted by a stable descending sort
 of sigma over the blocks taken in character order (chi_s(t) =
 (-1)^popcount(s & t)), so tied singular values keep that order.  When
-blocks of both shapes leave fewer than min(rows, cols) block singular
-pairs, the missing zero pairs are the blocks' complements, paired up after
-all others.  With no symmetries the whole matrix is the one block.
+blocks of both shapes supply fewer than min(rows, cols) singular pairs
+(the zero pairs they lack come from no thin block SVD), the whole matrix
+is factored as the one block instead, as it is with no symmetries.
 """
 
 from __future__ import annotations
@@ -144,7 +144,8 @@ def svd_decompose(matrix, rank_tol: float = 1e-10, symmetries=()) -> SvdOperator
     equal to ``matrix`` (``RadonGeometry.mirrors`` gives them for the
     tomography operator).  The matrix is factored one block per character
     of the group they generate, as the module docstring describes; with no
-    symmetries the whole matrix is the one block.  The stored matrix is
+    symmetries, or when the blocks supply fewer than min(rows, cols)
+    singular pairs, the whole matrix is the one block.  The stored matrix is
     ``matrix`` itself, not a copy, when it is already a C-ordered float
     array.
 
@@ -171,35 +172,24 @@ def svd_decompose(matrix, rank_tol: float = 1e-10, symmetries=()) -> SvdOperator
 
     rows, cols = matrix.shape
     row_perms, col_perms = _symmetry_group(matrix, symmetries)
-    blocks = []
-    for chi in _characters(len(symmetries)):
-        row_idx, row_stab = _orbit_basis(row_perms, chi)
-        col_idx, col_stab = _orbit_basis(col_perms, chi)
-        blocks.append((chi, row_idx, row_stab, col_idx, col_stab))
-
+    blocks = _blocks(row_perms, col_perms, _characters(len(symmetries)))
     k = min(rows, cols)
-    paired = sum(min(r.shape[1], c.shape[1]) for _, r, _, c, _ in blocks)
-    # Blocks of mixed shape leave k - paired zero singular pairs that no thin
-    # block SVD returns; they come from the complements of the full ones.
-    full = paired < k
+    if sum(min(r.shape[1], c.shape[1]) for _, r, _, c, _ in blocks) < k:
+        # blocks of both shapes: no thin block SVD returns the zero pairs they lack
+        blocks = _blocks(row_perms[:1], col_perms[:1], _characters(0))
     u = np.zeros((cols, k))  # an orbit a block drops is zero in its columns
     v = np.zeros((rows, k))
     sigma = np.zeros(k)
-    pos, extra_u, extra_v = 0, paired, paired
+    pos = 0
     for chi, row_idx, row_stab, col_idx, col_stab in blocks:
         block = _gather_block(matrix, chi, row_idx, row_stab, col_idx, col_stab)
         # the transposed block, so that u comes out (cols, k) and row-major
-        w, s, zt = np.linalg.svd(block.T, full_matrices=full)
+        w, s, zt = np.linalg.svd(block.T, full_matrices=False)
         del block
-        m = s.size
-        sigma[pos : pos + m] = s
-        w_take = min(w.shape[1], m + k - extra_u)
-        v_take = min(zt.shape[0], m + k - extra_v)
-        _scatter(u, chi, col_idx, col_stab, w[:, :w_take], m, pos, extra_u)
-        _scatter(v, chi, row_idx, row_stab, zt[:v_take].T, m, pos, extra_v)
-        pos += m
-        extra_u += w_take - m
-        extra_v += v_take - m
+        sigma[pos : pos + s.size] = s
+        _scatter(u, chi, col_idx, col_stab, w, pos)
+        _scatter(v, chi, row_idx, row_stab, zt.T, pos)
+        pos += s.size
 
     order = np.argsort(-sigma, kind="stable")
     sigma = sigma[order]
@@ -280,6 +270,11 @@ def _orbit_basis(perms, chi):
     return perms[:, reps[keep]], np.count_nonzero(fixed[:, keep], axis=0)
 
 
+def _blocks(row_perms, col_perms, chars):
+    """``(chi, row_idx, row_stab, col_idx, col_stab)`` for each character."""
+    return [(chi, *_orbit_basis(row_perms, chi), *_orbit_basis(col_perms, chi)) for chi in chars]
+
+
 def _gather_block(matrix, chi, row_idx, row_stab, col_idx, col_stab):
     """The chi-block of the matrix in the orbit bases, without a dense basis.
 
@@ -302,18 +297,14 @@ def _gather_block(matrix, chi, row_idx, row_stab, col_idx, col_stab):
     return block
 
 
-def _scatter(out, chi, idx, stab, vecs, m: int, pos: int, extra: int):
-    """Write block vectors back as full-length columns of ``out``: orbit
-    coefficient c becomes chi(t) c sqrt(|H|/|G|) at each index t(i) of its
-    orbit.  The first ``m`` columns go to ``pos`` onwards, the rest (zero
-    singular value complements) to ``extra`` onwards."""
+def _scatter(out, chi, idx, stab, vecs, pos: int):
+    """Write block vectors back as full-length columns ``pos`` onwards of
+    ``out``: orbit coefficient c becomes chi(t) c sqrt(|H|/|G|) at each
+    index t(i) of its orbit."""
     vecs = vecs * np.sqrt(stab / chi.size)[:, None]
     neg = -vecs
-    tail = vecs.shape[1] - m
     for t in range(chi.size):
-        src = vecs if chi[t] > 0 else neg
-        out[idx[t], pos : pos + m] = src[:, :m]
-        out[idx[t], extra : extra + tail] = src[:, m:]
+        out[idx[t], pos : pos + vecs.shape[1]] = vecs if chi[t] > 0 else neg
 
 
 def _permute_columns(a, order):

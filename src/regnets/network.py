@@ -4,9 +4,10 @@ The net maps flattened n*n coefficient images to images of the same
 size through a stack of 3x3 same-padding convolutions with ReLU between
 them (linear last layer, optional global residual skip).  Training is
 plain SGD with classical (heavy-ball) momentum on the batch-mean l1
-loss; a downstream fixed self-adjoint linear projection can be folded
-into the differentiated graph, which is how the reconstruction methods
-train their spectral residuals.
+distance between each target t and z + P(net(z)), z the net's input and
+P a fixed self-adjoint linear projection (identity if omitted).  That is
+the reconstruction z + residual(z) with z = B_alpha y, so the methods
+train their spectral residuals through it.
 
 The Lipschitz bound is closed-form: each layer contributes the largest
 singular value of its kernel's DFT symbol on the (n+2)^2 torus, of which
@@ -32,7 +33,6 @@ __all__ = [
     "NetworkParams",
     "TrainState",
     "init_network",
-    "forward",
     "forward_batch",
     "grad_backprop",
     "sgd_momentum_step",
@@ -157,21 +157,17 @@ def _as_batch(params, flat):
 
 
 def forward_batch(params: NetworkParams, flat) -> np.ndarray:
-    """Apply the net to rows of a (k, n*n) array; returns the same shape."""
-    x4 = _as_batch(params, flat)
-    out, _ = _run_stack(params, x4)
-    return out.reshape(out.shape[1], -1)
+    """Apply the net to one flattened n*n image or to the rows of a
+    (k, n*n) array; returns the shape it is given."""
+    flat = np.asarray(flat, dtype=float)
+    out, _ = _run_stack(params, _as_batch(params, flat))
+    return out.reshape(flat.shape)
 
 
-def forward(params: NetworkParams, x) -> np.ndarray:
-    """Apply the net to one flattened n*n image."""
-    return forward_batch(params, np.asarray(x, dtype=float)[None, :])[0]
-
-
-def grad_backprop(params: NetworkParams, inputs, targets, offsets=None, project=None):
+def grad_backprop(params: NetworkParams, inputs, targets, project=None):
     """Loss and exact parameter gradients for the composed objective
 
-        mean_k | target_k - (offset_k + P(net(input_k))) |_1
+        mean_k | target_k - (input_k + P(net(input_k))) |_1
 
     where P is a fixed self-adjoint linear map acting on row batches
     (identity if omitted).  Sign conventions at kinks: the l1 subgradient
@@ -186,8 +182,7 @@ def grad_backprop(params: NetworkParams, inputs, targets, offsets=None, project=
     out, caches = _run_stack(params, x4)
     raw = out.reshape(k, -1)
     pred = project(raw) if project is not None else raw
-    if offsets is not None:
-        pred = pred + np.atleast_2d(np.asarray(offsets, dtype=float))
+    pred = pred + x4.reshape(k, -1)
 
     resid = targets - pred
     loss = float(np.abs(resid).sum(axis=1).mean())
@@ -219,25 +214,27 @@ def train(
     state: TrainState,
     inputs,
     targets,
-    offsets=None,
     project=None,
     epochs: int = 1,
     batch_size: int = 10,
     shuffle_seed: int = 0,
 ):
-    """Mini-batch SGD with seeded shuffling; returns per-epoch mean losses.
+    """Mini-batch SGD with seeded shuffling on the ``grad_backprop``
+    objective; returns per-epoch mean losses.
 
-    Raises FloatingPointError as soon as a batch loss stops being finite.
+    Raises ValueError for an empty set, ``epochs < 1`` or ``batch_size < 1``,
+    and FloatingPointError as soon as a batch loss stops being finite.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    offsets = None if offsets is None else np.atleast_2d(np.asarray(offsets, dtype=float))
     count = inputs.shape[0]
     if count == 0:
         raise ValueError("empty training set")
     if epochs < 1:
         raise ValueError(f"epochs must be at least 1, got {epochs}")
-    batch_size = max(1, min(batch_size, count))
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    batch_size = min(batch_size, count)
 
     rng = np.random.default_rng(shuffle_seed)
     history = []
@@ -246,13 +243,7 @@ def train(
         losses = []
         for lo in range(0, count, batch_size):
             idx = perm[lo : lo + batch_size]
-            loss, grads = grad_backprop(
-                params,
-                inputs[idx],
-                targets[idx],
-                offsets=None if offsets is None else offsets[idx],
-                project=project,
-            )
+            loss, grads = grad_backprop(params, inputs[idx], targets[idx], project=project)
             if not np.isfinite(loss):
                 raise FloatingPointError(f"training diverged at step {state.step}: loss={loss}")
             sgd_momentum_step(params, grads, state)

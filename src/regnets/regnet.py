@@ -42,7 +42,7 @@ VARIANTS = (CLASSICAL, NULLSPACE, CONTINUED)
 
 def nullspace_residual(op: SvdOperator, params: network.NetworkParams, z) -> np.ndarray:
     """Kernel part of the network output: P_ker(A) net(z)."""
-    return op.kernel_project(network.forward(params, z))
+    return op.kernel_project(network.forward_batch(params, z))
 
 
 def continued_svd_residual(op: SvdOperator, alpha: float, params: network.NetworkParams, z) -> np.ndarray:
@@ -50,7 +50,7 @@ def continued_svd_residual(op: SvdOperator, alpha: float, params: network.Networ
     numerical kernel, i.e. the complement of the retained directions."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    return op.project_out(network.forward(params, z), op.retained_rank(alpha))
+    return op.project_out(network.forward_batch(params, z), op.retained_rank(alpha))
 
 
 def residual_projection(variant: str, op: SvdOperator, alpha: float):
@@ -103,8 +103,7 @@ class ReconstructionMethod:
         return continued_svd_residual(self.operator, self.alpha, self.params, z)
 
     def reconstruct(self, y) -> np.ndarray:
-        reg = self.regularizer()
-        base = reg.synthesize(reg.coefficients(y))
+        base = self.regularizer().apply(y)
         if self.variant == CLASSICAL:
             return base
         return base + self.residual_map(base)

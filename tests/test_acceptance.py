@@ -264,7 +264,7 @@ def test_criterion_08_testbench_ordering():
             params = network.init_network(arch, 42 + idx)
             state = network.TrainState(lr=3e-5, momentum=0.99)
             network.train(
-                params, state, base, truths, offsets=base,
+                params, state, base, truths,
                 project=residual_projection(variant, op, alpha),
                 epochs=12, batch_size=10, shuffle_seed=idx,
             )

@@ -261,6 +261,14 @@ class TestExitCodes:
         assert run("train", "--config", "idle.cfg") == 2
         assert not (workspace / "models" / "continued").exists()
 
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_numeric_error_batch_size_below_one(self, workspace, batch_size):
+        run("assemble", "--config", "run.cfg")
+        run("phantoms", "--config", "run.cfg")
+        (workspace / "batch.cfg").write_text(TINY_CONFIG + f"batch_size={batch_size}\n")
+        assert run("train", "--config", "batch.cfg") == 2
+        assert not (workspace / "models" / "continued").exists()
+
     @pytest.mark.parametrize(
         "command, flags, extra",
         [
@@ -316,6 +324,16 @@ class TestFailedRunWritesNothing:
         assert run("train", "--config", "run.cfg", "--alpha", alphas) == 2
         assert "epoch=" not in capsys.readouterr().out
         assert snapshot(workspace / "models" / "continued") == before
+
+    def test_phantoms_with_a_missing_directory(self, workspace):
+        # the test set's directory is missing: the training set is not written either
+        (workspace / "lost.cfg").write_text(TINY_CONFIG + "test_path=missing/test.rgn1\n")
+        assert run("phantoms", "--config", "lost.cfg") == 3
+        assert not (workspace / "train.rgn1").exists()
+        assert run("phantoms", "--config", "run.cfg") == 0
+        before = (workspace / "train.rgn1").read_bytes()
+        assert run("phantoms", "--config", "lost.cfg", "--seed", "4") == 3
+        assert (workspace / "train.rgn1").read_bytes() == before
 
     @pytest.mark.parametrize("lambda_max", ["0", "-1", "nan", "inf"])
     def test_checkfilter_invalid_lambda_max_writes_no_report(self, workspace, lambda_max):

@@ -60,9 +60,10 @@ class TestDecompose:
 
 # (grid_n, n_angles, n_detectors): odd grids, odd detector counts and even
 # angle counts give orbits with non-trivial stabilisers on both sides, and
-# (6, 5, 8) has blocks of both shapes, so the stored system needs zero pairs
-# taken from the blocks' complements
+# (6, 5, 8) and (3, 2, 5) have blocks of both shapes, which supply fewer
+# than min(rows, cols) singular pairs
 FIXED_POINT_GEOMETRIES = [(5, 4, 7), (6, 5, 8), (16, 5, 16), (3, 2, 5)]
+SHORT_BLOCK_GEOMETRIES = [(6, 5, 8), (3, 2, 5)]
 
 
 def _geometry(shape):
@@ -88,6 +89,18 @@ class TestSymmetryBlocks:
         p_dense = dense.image_vectors[:, :r] @ dense.image_vectors[:, :r].T
         p_blocks = blocks.image_vectors[:, :r] @ blocks.image_vectors[:, :r].T
         assert np.linalg.norm(p_blocks - p_dense) <= 1e-10 * np.linalg.norm(p_dense)
+
+    @pytest.mark.parametrize("shape", SHORT_BLOCK_GEOMETRIES)
+    def test_short_blocks_factor_the_whole_matrix(self, shape):
+        geom = _geometry(shape)
+        a = radon.assemble_matrix(geom)
+        row_perms, col_perms = linop._symmetry_group(a, geom.mirrors())
+        blocks = linop._blocks(row_perms, col_perms, linop._characters(2))
+        assert sum(min(r.shape[1], c.shape[1]) for _, r, _, c, _ in blocks) < min(a.shape)
+        dense = svd_decompose(a)
+        blocks = svd_decompose(a, symmetries=geom.mirrors())
+        for name in ("singular_values", "image_vectors", "data_vectors"):
+            assert np.array_equal(getattr(blocks, name), getattr(dense, name))
 
     @pytest.mark.parametrize("shape", FIXED_POINT_GEOMETRIES + [(8, 6, 10)])
     def test_block_sizes_sum_to_the_matrix(self, shape):

@@ -36,28 +36,35 @@ class TestInitForward:
     def test_bias_only_constant_map(self, rng):
         arch = NetworkArch(grid=4, hidden=())
         params = zero_params(arch, bias=np.array([0.7]))
-        out = network.forward(params, rng.standard_normal(16))
+        out = network.forward_batch(params, rng.standard_normal(16))
         np.testing.assert_array_equal(out, np.full(16, 0.7))
 
     def test_zero_network_outputs_zero(self, rng):
         params = zero_params(NetworkArch(grid=4, hidden=(3,)))
-        np.testing.assert_array_equal(network.forward(params, rng.standard_normal(16)), np.zeros(16))
+        np.testing.assert_array_equal(network.forward_batch(params, rng.standard_normal(16)), np.zeros(16))
 
     def test_delta_kernel_is_identity(self, rng):
         params = identity_params(5)
         x = rng.standard_normal(25)
-        np.testing.assert_array_equal(network.forward(params, x), x)
+        np.testing.assert_array_equal(network.forward_batch(params, x), x)
 
     def test_shape_mismatch(self):
         params = network.init_network(NetworkArch(grid=4), 0)
         with pytest.raises(ValueError):
-            network.forward(params, np.zeros(17))
+            network.forward_batch(params, np.zeros(17))
+
+    def test_vector_is_one_row_of_the_stack(self, rng):
+        params = network.init_network(NetworkArch(grid=4, hidden=(3,)), 2)
+        stack = rng.standard_normal((3, 16))
+        out = network.forward_batch(params, stack[1])
+        assert out.shape == (16,)
+        assert np.array_equal(out, network.forward_batch(params, stack)[1])
 
     def test_residual_skip(self, rng):
         arch = NetworkArch(grid=4, hidden=(2,), residual=True)
         params = zero_params(arch)
         x = rng.standard_normal(16)
-        np.testing.assert_array_equal(network.forward(params, x), x)
+        np.testing.assert_array_equal(network.forward_batch(params, x), x)
 
 
 class TestConv:
@@ -127,7 +134,7 @@ class TestGradients:
     def test_zero_residual_gives_zero_gradient(self):
         params = zero_params(NetworkArch(grid=3, hidden=(2,)))
         inputs = np.ones((2, 9))
-        targets = np.zeros((2, 9))
+        targets = inputs + network.forward_batch(params, inputs)
         loss, grads = network.grad_backprop(params, inputs, targets)
         assert loss == 0.0
         assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in grads)
@@ -226,7 +233,7 @@ class TestLipschitz:
         for _ in range(100):
             a = rng.standard_normal(36)
             b = rng.standard_normal(36)
-            ratio = np.linalg.norm(network.forward(params, a) - network.forward(params, b)) / np.linalg.norm(a - b)
+            ratio = np.linalg.norm(network.forward_batch(params, a) - network.forward_batch(params, b)) / np.linalg.norm(a - b)
             assert ratio <= bound
 
     def test_soundness_many_pairs(self, rng):

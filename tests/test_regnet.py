@@ -65,7 +65,7 @@ class TestResiduals:
         z = rng.standard_normal(small_op.cols)
         alpha = 2.0 * small_op.sigma_max**2
         got = continued_svd_residual(small_op, alpha, net, z)
-        np.testing.assert_array_equal(got, network.forward(net, z))
+        np.testing.assert_array_equal(got, network.forward_batch(net, z))
 
     def test_continued_orthogonal_to_retained(self, small_op, net, rng):
         alpha = mid_alpha(small_op)
