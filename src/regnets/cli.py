@@ -179,6 +179,17 @@ def _load_operator(cfg: RunConfig):
     return op, _make_cfg_filter(cfg, op.sigma_max**2)
 
 
+def _check_destinations(*paths):
+    """Before the first write of a command that writes several files: each
+    destination's parent must be a directory and the path must not be one,
+    so that no write after the first can fail on its path."""
+    for path in map(Path, paths):
+        if not path.parent.is_dir():
+            raise FileNotFoundError(f"no directory for {path}")
+        if path.is_dir():
+            raise IsADirectoryError(f"{path} is a directory")
+
+
 def cmd_assemble(cfg: RunConfig) -> int:
     geom = cfg.geometry()
     matrix = radon.assemble_matrix(geom)
@@ -197,9 +208,7 @@ def cmd_phantoms(cfg: RunConfig) -> int:
     geom = cfg.geometry()
     train_seeds = range(cfg.seed, cfg.seed + cfg.train_count)
     test_seeds = range(cfg.seed + 1_000_000, cfg.seed + 1_000_000 + cfg.test_count)
-    for path in (cfg.train_path, cfg.test_path):
-        if not Path(path).parent.is_dir():
-            raise FileNotFoundError(f"no directory for {path}")
+    _check_destinations(cfg.train_path, cfg.test_path)
     sets = []
     for path, seeds in ((cfg.train_path, train_seeds), (cfg.test_path, test_seeds)):
         items = [radon.gen_phantom(s, geom.grid_n).coeffs for s in seeds]
@@ -245,23 +254,26 @@ def cmd_train(cfg: RunConfig) -> int:
         caps.append(network.lipschitz_upper_bound(params))
 
     model_dir = Path(cfg.model_dir) / cfg.method
+    paths = [
+        (model_dir / f"model_{idx:03d}.rgnn", model_dir / f"loss_{idx:03d}.txt")
+        for idx in range(len(members))
+    ]
+    outputs = [path for pair in paths for path in pair]
     model_dir.mkdir(parents=True, exist_ok=True)
-    entries, written = [], set()
-    for idx, (alpha, params, history) in enumerate(members):
-        model_path = model_dir / f"model_{idx:03d}.rgnn"
-        loss_path = model_dir / f"loss_{idx:03d}.txt"
+    _check_destinations(model_dir / "manifest.txt", *outputs)
+    entries = []
+    for (alpha, params, history), (model_path, loss_path) in zip(members, paths):
         meta = cfg.meta()
         meta.update(alpha=repr(alpha), final_loss=repr(history[-1]))
         storage.write_model(model_path, params, meta)
         storage.write_keyvalue(loss_path, {f"epoch_{e}": repr(l) for e, l in enumerate(history)})
         entries.append((alpha, model_path.name))
-        written.update((model_path.name, loss_path.name))
     meta = cfg.meta()
     meta.update(method=cfg.method, lipschitz_cap=repr(max(caps)))
     storage.write_manifest(model_dir / "manifest.txt", entries, meta)
     # members of an earlier, larger family that the new manifest does not list
     for path in model_dir.iterdir():
-        if re.fullmatch(r"model_\d+\.rgnn|loss_\d+\.txt", path.name) and path.name not in written:
+        if re.fullmatch(r"model_\d+\.rgnn|loss_\d+\.txt", path.name) and path not in outputs:
             path.unlink()
     print(f"train: wrote {len(entries)} models to {model_dir}")
     return 0
@@ -314,6 +326,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    _check_destinations(*(out_dir / name for name in ("truth.pgm", *images)))
     storage.write_pgm16(out_dir / "truth.pgm", truth.reshape(grid_n, grid_n))
     for name, rec in images.items():
         storage.write_pgm16(out_dir / name, rec.reshape(grid_n, grid_n))
@@ -345,6 +358,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    _check_destinations(*(out_dir / name for name in (*reports, "selection.txt")))
     for name, (report, meta) in reports.items():
         rows = [astuple(r) for r in report.rows]
         storage.write_csv(out_dir / name, ("alpha", "kept", "mse", "mae"), rows, meta)
@@ -366,6 +380,7 @@ def cmd_rates(cfg: RunConfig) -> int:
     }
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    _check_destinations(out_dir / "rates.csv", out_dir / "slope.txt")
     rows = [astuple(r) for r in report.rows]
     storage.write_csv(out_dir / "rates.csv", ("delta", "alpha", "error"), rows, cfg.meta())
     storage.write_keyvalue(out_dir / "slope.txt", summary, cfg.meta())

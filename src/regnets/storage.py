@@ -18,12 +18,19 @@ provenance such as the config hash and seeds.  Writers are
 byte-deterministic for fixed inputs.  Readers check the magic, the
 version, every header field and declared payload size against the file
 length, and that the footer ends exactly at the end of the file; they
-raise ``StorageError`` on a malformed or truncated file.  A reader loads
-the file once; the arrays it returns are writable views of that buffer.
+raise ``StorageError`` on a malformed, truncated or empty file.  A reader
+maps the file copy-on-write: the arrays it returns are writable views of
+the mapping, and writes to them never reach the file.  A container writer
+writes a temporary file beside the path and renames it onto the path, so
+a failed write leaves no partial file and a reader of the old file keeps
+its bytes.  A file truncated by another process while mapped is outside
+this contract.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
 import struct
 from pathlib import Path
 
@@ -95,8 +102,11 @@ def _f64(blob: memoryview, offset: int, count: int, path):
 
 
 def _read_blob(path) -> memoryview:
-    """The whole file in one writable buffer that the decoded arrays view."""
-    return memoryview(np.fromfile(path, dtype=np.uint8))
+    """The whole file, mapped copy-on-write; the decoded arrays view it."""
+    with open(path, "rb") as f:
+        if os.fstat(f.fileno()).st_size == 0:  # mmap refuses an empty file
+            return memoryview(bytearray())
+        return memoryview(mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY))
 
 
 def _read_header(blob: memoryview, magic: bytes, fmt: str, path):
@@ -110,11 +120,17 @@ def _write_container(path, head: bytes, arrays, meta: dict | None):
     """Header bytes, then each array as little-endian f64 in order, then the
     footer.  The arrays go to the file through the buffer protocol, so no
     bytes copy of the payload is made."""
-    with open(path, "wb") as f:
-        f.write(head)
-        for a in arrays:
-            f.write(np.ascontiguousarray(a, dtype="<f8"))
-        f.write(_footer_bytes(meta))
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(head)
+            for a in arrays:
+                f.write(np.ascontiguousarray(a, dtype="<f8"))
+            f.write(_footer_bytes(meta))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_operator(path, op: SvdOperator, meta: dict | None = None):

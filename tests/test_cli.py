@@ -223,6 +223,14 @@ class TestExitCodes:
         (workspace / "operator.rgn1").write_bytes(blob[:-3])
         assert run("evaluate", "--config", "run.cfg") == 3
 
+    def test_io_error_empty_operator(self, workspace):
+        run("phantoms", "--config", "run.cfg")
+        (workspace / "operator.rgn1").write_bytes(b"")
+        before = snapshot(workspace)
+        assert run("train", "--config", "run.cfg") == 3
+        assert snapshot(workspace) == before
+        assert not (workspace / "models").exists()
+
     @pytest.mark.parametrize("cap_line", ["", "# lipschitz_cap=inf"])
     def test_numeric_error_manifest_without_finite_cap(self, workspace, cap_line):
         run("assemble", "--config", "run.cfg")
@@ -334,6 +342,39 @@ class TestFailedRunWritesNothing:
         before = (workspace / "train.rgn1").read_bytes()
         assert run("phantoms", "--config", "lost.cfg", "--seed", "4") == 3
         assert (workspace / "train.rgn1").read_bytes() == before
+
+    def test_phantoms_with_a_directory_as_destination(self, workspace):
+        # test_path names an existing directory: the training set is not written either
+        (workspace / "sub").mkdir()
+        (workspace / "sub.cfg").write_text(TINY_CONFIG + "test_path=sub\n")
+        assert run("phantoms", "--config", "sub.cfg") == 3
+        assert not (workspace / "train.rgn1").exists()
+        assert run("phantoms", "--config", "run.cfg") == 0
+        before = (workspace / "train.rgn1").read_bytes()
+        assert run("phantoms", "--config", "sub.cfg", "--seed", "4") == 3
+        assert (workspace / "train.rgn1").read_bytes() == before
+
+    def test_train_with_a_directory_as_manifest(self, workspace):
+        run("assemble", "--config", "run.cfg")
+        run("phantoms", "--config", "run.cfg")
+        assert run("train", "--config", "run.cfg") == 0
+        family = workspace / "models" / "continued"
+        (family / "manifest.txt").unlink()
+        (family / "manifest.txt").mkdir()
+        before = snapshot(family)
+        assert run("train", "--config", "run.cfg", "--seed", "4") == 3
+        assert snapshot(family) == before
+
+    @pytest.mark.parametrize(
+        "command, last_output",
+        [("reconstruct", "recon_d0.05_classical.pgm"), ("evaluate", "selection.txt"), ("rates", "slope.txt")],
+    )
+    def test_directory_at_the_last_output(self, workspace, command, last_output):
+        run("assemble", "--config", "run.cfg")
+        run("phantoms", "--config", "run.cfg")
+        (workspace / "out" / last_output).mkdir(parents=True)
+        assert run(command, "--config", "run.cfg") == 3
+        assert snapshot(workspace / "out") == {}
 
     @pytest.mark.parametrize("lambda_max", ["0", "-1", "nan", "inf"])
     def test_checkfilter_invalid_lambda_max_writes_no_report(self, workspace, lambda_max):

@@ -190,6 +190,64 @@ class TestTruncatedContainers:
             storage.read_model(path)
 
 
+class TestEmptyContainer:
+    @pytest.mark.parametrize(
+        "read", [storage.read_operator, storage.read_array, storage.read_model, storage.read_metadata],
+        ids=["operator", "array", "model", "metadata"],
+    )
+    def test_empty_file_is_not_a_container(self, tmp_path, read):
+        # a zero-length file cannot be mapped; it is malformed, not a numeric error
+        path = tmp_path / "empty"
+        path.write_bytes(b"")
+        with pytest.raises(storage.StorageError, match="not an"):
+            read(path)
+
+
+class TestMappedReads:
+    def test_kept_arrays_survive_a_rewrite_of_the_path(self, tmp_path, rng):
+        # same shape, so a write in place would show through the mapping
+        path = tmp_path / "op.rgn1"
+        old_op, new_op = (svd_decompose(rng.standard_normal((7, 5))) for _ in range(2))
+        storage.write_operator(path, old_op)
+        kept = storage.read_operator(path)
+        storage.write_operator(path, new_op)
+        for name in ("matrix", "singular_values", "image_vectors", "data_vectors"):
+            assert np.array_equal(getattr(kept, name), getattr(old_op, name)), name
+            assert np.array_equal(getattr(storage.read_operator(path), name), getattr(new_op, name)), name
+
+    def test_writes_to_a_read_array_never_reach_the_file(self, tmp_path, rng):
+        path = tmp_path / "d.rgn1"
+        data = rng.standard_normal((5, 9))
+        storage.write_array(path, data)
+        blob = path.read_bytes()
+        back = storage.read_array(path)
+        back[...] = -1.0
+        assert path.read_bytes() == blob
+        assert np.array_equal(storage.read_array(path), data)
+
+
+class TestFailedWrite:
+    def test_directory_destination_leaves_no_temporary(self, tmp_path, rng):
+        (tmp_path / "sub").mkdir()
+        with pytest.raises(IsADirectoryError):
+            storage.write_array(tmp_path / "sub", rng.standard_normal((2, 3)))
+        assert [p.name for p in tmp_path.rglob("*")] == ["sub"]
+
+    def test_conversion_failure_keeps_the_old_file(self, tmp_path):
+        # the last bias cannot become f64: the header and the first layers
+        # are written before the failure
+        path = tmp_path / "m.rgnn"
+        params = network.init_network(NetworkArch(grid=6, hidden=(3, 2)), 1)
+        storage.write_model(path, params)
+        blob = path.read_bytes()
+        w, _ = params.layers[-1]
+        params.layers[-1] = (w, np.array(["x"], dtype=object))
+        with pytest.raises(ValueError):
+            storage.write_model(path, params)
+        assert path.read_bytes() == blob
+        assert [p.name for p in tmp_path.iterdir()] == ["m.rgnn"]
+
+
 class TestManifestPgmCsv:
     def test_manifest_roundtrip(self, tmp_path):
         entries = [(0.5, "model_000.rgnn"), (0.05, "model_001.rgnn")]
