@@ -44,10 +44,8 @@ class RunConfig:
     kb_support: float = 0.055
     kb_shape: float = 7.0
     rank_tol: float = 1e-10
-    paper_scale: bool = False
     # filter / methods
     filter: str = "tsvd"
-    landweber_beta: float = 0.0  # 0 means 1/sigma_1^2 of the loaded operator
     alphas: str = "1e-2"
     method: str = "continued"
     # network and training
@@ -83,8 +81,6 @@ class RunConfig:
         return _parse_floats(self.deltas)
 
     def geometry(self) -> radon.RadonGeometry:
-        if self.paper_scale:
-            return radon.RadonGeometry.paper_scale()
         return radon.RadonGeometry(
             grid_n=self.grid_n,
             n_angles=self.n_angles,
@@ -159,18 +155,15 @@ def _overrides_from_args(args) -> dict:
     """The flags given on the command line, by config key; an absent flag is
     None, which ``load_config`` skips, so ``--seed 0`` overrides too."""
     return {
-        "seed": args.seed, "paper_scale": args.paper_scale, "method": args.method,
-        "out_dir": args.out_dir, "alphas": args.alpha, "deltas": args.delta,
+        "seed": args.seed, "method": args.method, "out_dir": args.out_dir,
+        "alphas": args.alpha, "deltas": args.delta,
     }
 
 
 def _make_cfg_filter(cfg: RunConfig, lambda_max: float):
-    """The configured filter; a Landweber step ``landweber_beta=0`` means
-    1/lambda_max, the largest step that keeps the iteration convergent."""
-    beta = cfg.landweber_beta
-    if beta <= 0 and lambda_max > 0:
-        beta = 1.0 / lambda_max
-    return make_filter(cfg.filter, beta if beta > 0 else None)
+    """The configured filter; a Landweber step is 1/lambda_max, the largest
+    that keeps the iteration convergent, or 1 when lambda_max is not positive."""
+    return make_filter(cfg.filter, 1.0 / lambda_max if lambda_max > 0 else None)
 
 
 def _load_operator(cfg: RunConfig):
@@ -261,6 +254,12 @@ def cmd_train(cfg: RunConfig) -> int:
     outputs = [path for pair in paths for path in pair]
     model_dir.mkdir(parents=True, exist_ok=True)
     _check_destinations(model_dir / "manifest.txt", *outputs)
+    # members of an earlier, larger family that the new manifest does not
+    # list, found before the first write; a directory with such a name stays
+    stale = [
+        path for path in model_dir.iterdir()
+        if path.is_file() and path not in outputs and re.fullmatch(r"model_\d+\.rgnn|loss_\d+\.txt", path.name)
+    ]
     entries = []
     for (alpha, params, history), (model_path, loss_path) in zip(members, paths):
         meta = cfg.meta()
@@ -271,10 +270,8 @@ def cmd_train(cfg: RunConfig) -> int:
     meta = cfg.meta()
     meta.update(method=cfg.method, lipschitz_cap=repr(max(caps)))
     storage.write_manifest(model_dir / "manifest.txt", entries, meta)
-    # members of an earlier, larger family that the new manifest does not list
-    for path in model_dir.iterdir():
-        if re.fullmatch(r"model_\d+\.rgnn|loss_\d+\.txt", path.name) and path not in outputs:
-            path.unlink()
+    for path in stale:
+        path.unlink()
     print(f"train: wrote {len(entries)} models to {model_dir}")
     return 0
 
@@ -463,7 +460,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--alpha", default=None, help="comma-separated alpha list")
         p.add_argument("--delta", default=None, help="comma-separated delta list")
-        p.add_argument("--paper-scale", dest="paper_scale", action="store_true", default=None)
         p.add_argument("--method", default=None, choices=["nullspace", "continued"])
         p.add_argument("--out-dir", dest="out_dir", default=None)
     return parser

@@ -196,12 +196,8 @@ class FilterRegularizer:
 
     def apply_gram(self, x) -> np.ndarray:
         """B_alpha A x = g_alpha(A*A) A*A x."""
-        x = self.operator._check_coeff(x)
-        r = self.operator.rank
-        u = self.operator.image_vectors[:, :r]
-        sigma = self.operator.singular_values[:r]
-        scale = self.filt.value(self.alpha, sigma**2) * sigma**2
-        return u @ (scale * (u.T @ x))
+        sigma = self.operator.singular_values[: self.operator.rank]
+        return self.operator.spectral_multiply(x, self.filt.value(self.alpha, sigma**2) * sigma**2)
 
     def norm(self) -> float:
         """Exact operator norm of B_alpha on the stored spectrum."""

@@ -106,12 +106,17 @@ class SvdOperator:
         """A x."""
         return self.matrix @ self._check_coeff(x)
 
+    def spectral_multiply(self, x, scale) -> np.ndarray:
+        """sum_{n < len(scale)} scale_n <u_n, x> u_n, for one coefficient
+        vector or a (count, cols) stack of them, row by row."""
+        x = self._check_coeff(x, stack=True)
+        u = self.image_vectors[:, : len(scale)]
+        return ((x @ u) * scale) @ u.T
+
     def project_out(self, x, r: int) -> np.ndarray:
         """x minus its orthogonal projection onto u_0 .. u_{r-1}, for one
         coefficient vector or a (count, cols) stack of them."""
-        x = self._check_coeff(x, stack=True)
-        u = self.image_vectors[:, :r]
-        return x - (x @ u) @ u.T
+        return x - self.spectral_multiply(x, np.ones(r))
 
     def kernel_project(self, x) -> np.ndarray:
         """Orthogonal projection onto the numerical kernel."""
@@ -121,11 +126,7 @@ class SvdOperator:
         """(A* A)^mu x for mu > 0, with numerical-kernel components annihilated."""
         if not (np.isfinite(mu) and mu > 0):
             raise ValueError(f"mu must be finite and positive, got {mu}")
-        x = self._check_coeff(x)
-        r = self.rank
-        u = self.image_vectors[:, :r]
-        scale = self.singular_values[:r] ** (2.0 * mu)
-        return u @ (scale * (u.T @ x))
+        return self.spectral_multiply(x, self.singular_values[: self.rank] ** (2.0 * mu))
 
 
 def _check_length(x, length: int, space: str, stack: bool) -> np.ndarray:

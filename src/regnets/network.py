@@ -81,8 +81,8 @@ class NetworkParams:
 class TrainState:
     lr: float
     momentum: float
-    buffers: list | None = None
-    step: int = 0
+    buffers: list | None = field(default=None, init=False)
+    step: int = field(default=0, init=False)
 
     def __post_init__(self):
         if self.lr <= 0:

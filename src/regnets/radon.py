@@ -14,7 +14,6 @@ by the experiments.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -36,12 +35,6 @@ __all__ = [
 Ellipse = namedtuple("Ellipse", "cx cy ax ay tilt value")
 
 
-@functools.lru_cache(maxsize=16)
-def _kb_norm(rho: float) -> float:
-    """I0(rho), the blob normaliser, computed once per shape parameter."""
-    return float(np.i0(rho))
-
-
 def kb_value(r, a: float, rho: float):
     """Blob profile at radial distance r; 1 at the center, 1/I0(rho) at r = a."""
     if a <= 0 or rho <= 0:
@@ -50,7 +43,7 @@ def kb_value(r, a: float, rho: float):
     scalar = r.ndim == 0
     r = np.atleast_1d(np.abs(r))
     w = np.clip(1.0 - (r / a) ** 2, 0.0, None)
-    val = np.where(r <= a, np.i0(rho * np.sqrt(w)) / _kb_norm(float(rho)), 0.0)
+    val = np.where(r <= a, np.i0(rho * np.sqrt(w)) / np.i0(rho), 0.0)
     return float(val[0]) if scalar else val
 
 
@@ -70,7 +63,7 @@ def kb_line_integral(s, a: float, rho: float):
     w2 = 1.0 - (s / a) ** 2
     inside = w2 > 0.0
     out = np.zeros_like(s)
-    out[inside] = (2.0 * a / (rho * _kb_norm(float(rho)))) * np.sinh(rho * np.sqrt(w2[inside]))
+    out[inside] = (2.0 * a / (rho * np.i0(rho))) * np.sinh(rho * np.sqrt(w2[inside]))
     return float(out[0]) if scalar else out
 
 
@@ -98,10 +91,6 @@ class RadonGeometry:
             raise ValueError("blob parameters must be positive")
         if self.detector_max <= self.detector_min:
             raise ValueError("empty detector interval")
-
-    @classmethod
-    def paper_scale(cls) -> "RadonGeometry":
-        return cls(grid_n=128, n_angles=30, n_detectors=200)
 
     @property
     def rows(self) -> int:

@@ -49,10 +49,13 @@ class TestConfig:
         assert cfg.alpha_list() == [2e-3, 5e-4]
 
     def test_unknown_key_rejected(self, workspace):
-        (workspace / "bad.cfg").write_text("no_such_key=1\n")
-        with pytest.raises(ValueError):
-            load_config("bad.cfg")
-        assert run("assemble", "--config", "bad.cfg") == 1
+        # paper_scale and landweber_beta are keys no more: the geometry keys
+        # set the paper's geometry, and the Landweber step is 1/lambda_max
+        for line in ("no_such_key=1", "paper_scale=1", "landweber_beta=0.5"):
+            (workspace / "bad.cfg").write_text(line + "\n")
+            with pytest.raises(ValueError):
+                load_config("bad.cfg")
+            assert run("assemble", "--config", "bad.cfg") == 1
 
     def test_every_default_round_trips_through_text(self, workspace):
         # each key's type comes from its field default; writing every default
@@ -66,7 +69,7 @@ class TestConfig:
         "line, want",
         [
             ("residual=yes", True), ("residual=off", False), ("seed=12", 12), ("lr=2e-3", 2e-3),
-            ("seed=1.5", None), ("residual=ture", None), ("paper_scale=2", None),
+            ("seed=1.5", None), ("residual=ture", None),
         ],
     )
     def test_values_parse_by_field_type(self, workspace, line, want):
@@ -145,6 +148,19 @@ class TestPipeline:
         entries, _ = storage.read_manifest(family / "manifest.txt")
         assert entries == [(1e-3, "model_000.rgnn")]
 
+    def test_smaller_retrain_keeps_a_directory_with_a_member_name(self, workspace):
+        # only regular files are stale members; the sweep runs after the writes
+        # and must not fail on a name it cannot remove
+        run("assemble", "--config", "run.cfg")
+        run("phantoms", "--config", "run.cfg")
+        family = workspace / "models" / "continued"
+        (family / "model_009.rgnn").mkdir(parents=True)
+        (family / "model_008.rgnn").write_bytes(b"stale")
+        assert run("train", "--config", "run.cfg") == 0
+        names = {f.name for f in family.iterdir()}
+        assert names == {"manifest.txt", "model_000.rgnn", "model_001.rgnn", "loss_000.txt", "loss_001.txt", "model_009.rgnn"}
+        assert (family / "model_009.rgnn").is_dir()
+
     def test_phantom_splits_disjoint(self, workspace):
         run("assemble", "--config", "run.cfg")
         run("phantoms", "--config", "run.cfg")
@@ -170,6 +186,18 @@ class TestPipeline:
             assert report["convergent"] == "True" and report["passed"] == "True"
             assert np.isfinite(float(report["sup_lambda_g"]))
 
+    def test_landweber_on_the_operator(self, workspace):
+        # the step is 1/sigma_1^2 of the loaded operator, which the regularizer's step check accepts
+        (workspace / "lw.cfg").write_text(TINY_CONFIG + "filter=landweber\n")
+        run("assemble", "--config", "lw.cfg")
+        run("phantoms", "--config", "lw.cfg")
+        assert run("train", "--config", "lw.cfg") == 0
+        assert run("evaluate", "--config", "lw.cfg") == 0
+        for variant in ("classical", "continued"):
+            rows = (workspace / f"out/evaluate_{variant}_d0.05.csv").read_text().splitlines()
+            values = [float(v) for row in rows if row[:1].isdigit() for v in row.split(",")]
+            assert values and np.all(np.isfinite(values))
+
     def test_zero_count_dataset(self, workspace):
         (workspace / "zero.cfg").write_text(TINY_CONFIG + "train_count=0\ntest_count=0\n")
         assert run("phantoms", "--config", "zero.cfg") == 0
@@ -180,6 +208,11 @@ class TestPipeline:
 class TestExitCodes:
     def test_usage_error(self):
         assert run("no-such-command") == 1
+
+    def test_paper_scale_flag_is_gone(self, workspace):
+        # the paper's geometry is grid_n=128, n_angles=30, n_detectors=200
+        assert run("assemble", "--config", "run.cfg", "--paper-scale") == 1
+        assert not (workspace / "operator.rgn1").exists()
 
     def test_io_error_missing_operator(self, workspace):
         assert run("train", "--config", "run.cfg") == 3

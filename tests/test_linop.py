@@ -253,3 +253,25 @@ class TestPowerApply:
             small_op.power_apply(np.zeros(small_op.cols), 0.0)
         with pytest.raises(ValueError):
             small_op.power_apply(np.zeros(small_op.cols), -1.0)
+
+
+class TestSpectralMultiply:
+    def test_matches_the_sum_over_the_scaled_directions(self, small_op, rng):
+        x = rng.standard_normal(small_op.cols)
+        scale = np.array([2.0, -0.5, 0.25])
+        u = small_op.image_vectors
+        want = sum(scale[n] * (u[:, n] @ x) * u[:, n] for n in range(scale.size))
+        np.testing.assert_allclose(small_op.spectral_multiply(x, scale), want, rtol=0, atol=1e-13)
+
+    def test_stack_gives_the_rows_of_one_vector_at_a_time(self, small_op, rng):
+        # GEMM and GEMV may round differently, so rows agree to rounding
+        xs = rng.standard_normal((4, small_op.cols))
+        scale = rng.standard_normal(small_op.rank)
+        got = small_op.spectral_multiply(xs, scale)
+        assert got.shape == xs.shape
+        for x, row in zip(xs, got):
+            np.testing.assert_allclose(row, small_op.spectral_multiply(x, scale), rtol=0, atol=1e-13)
+
+    def test_rejects_a_wrong_length(self, small_op):
+        with pytest.raises(ValueError):
+            small_op.spectral_multiply(np.zeros((2, small_op.cols + 1)), np.ones(small_op.rank))

@@ -218,6 +218,12 @@ class TestSgdMomentum:
         with pytest.raises(ValueError):
             TrainState(lr=0.1, momentum=1.0)
 
+    def test_buffers_and_step_are_not_arguments(self):
+        state = TrainState(lr=0.1, momentum=0.5)
+        assert (state.buffers, state.step) == (None, 0)
+        with pytest.raises(TypeError):
+            TrainState(lr=0.1, momentum=0.5, step=3)
+
 
 class TestLipschitz:
     def test_zero_network(self):
