@@ -162,8 +162,9 @@ def _overrides_from_args(args) -> dict:
 
 def _make_cfg_filter(cfg: RunConfig, lambda_max: float):
     """The configured filter; a Landweber step is 1/lambda_max, the largest
-    that keeps the iteration convergent, or 1 when lambda_max is not positive."""
-    return make_filter(cfg.filter, 1.0 / lambda_max if lambda_max > 0 else None)
+    that keeps the iteration convergent, or 1 when lambda_max is not finite
+    and positive (``checkfilter`` then rejects that lambda_max)."""
+    return make_filter(cfg.filter, 1.0 / lambda_max if 0 < lambda_max < np.inf else None)
 
 
 def _load_operator(cfg: RunConfig):

@@ -49,8 +49,8 @@ class TestConfig:
         assert cfg.alpha_list() == [2e-3, 5e-4]
 
     def test_unknown_key_rejected(self, workspace):
-        # paper_scale and landweber_beta are keys no more: the geometry keys
-        # set the paper's geometry, and the Landweber step is 1/lambda_max
+        # the geometry keys set the paper's geometry, and the Landweber step
+        # is always 1/lambda_max: neither has a key of its own
         for line in ("no_such_key=1", "paper_scale=1", "landweber_beta=0.5"):
             (workspace / "bad.cfg").write_text(line + "\n")
             with pytest.raises(ValueError):
@@ -410,8 +410,11 @@ class TestFailedRunWritesNothing:
         assert snapshot(workspace / "out") == {}
 
     @pytest.mark.parametrize("lambda_max", ["0", "-1", "nan", "inf"])
-    def test_checkfilter_invalid_lambda_max_writes_no_report(self, workspace, lambda_max):
-        # an invalid input is not a verdict: no report, unlike a failing filter
-        (workspace / "lm.cfg").write_text(TINY_CONFIG + f"lambda_max={lambda_max}\n")
-        assert run("checkfilter", "--config", "lm.cfg") == 2
-        assert not (workspace / "out").exists()
+    def test_checkfilter_invalid_lambda_max_writes_no_report(self, workspace, capsys, lambda_max):
+        # an invalid input is not a verdict: no report, unlike a failing filter;
+        # a Landweber filter, whose step is 1/lambda_max, names lambda_max too
+        for filt in ("tsvd", "landweber"):
+            (workspace / "lm.cfg").write_text(TINY_CONFIG + f"filter={filt}\nlambda_max={lambda_max}\n")
+            assert run("checkfilter", "--config", "lm.cfg") == 2
+            assert "lambda_max" in capsys.readouterr().err
+            assert not (workspace / "out").exists()
