@@ -50,7 +50,6 @@ class RunConfig:
     method: str = "continued"
     # network and training
     hidden: str = "16,16"
-    residual: bool = False
     lr: float = 0.05
     momentum: float = 0.99
     epochs: int = 20
@@ -91,7 +90,7 @@ class RunConfig:
 
     def arch(self, grid_n: int) -> network.NetworkArch:
         hidden = tuple(int(h) for h in self.hidden.split(",") if h.strip())
-        return network.NetworkArch(grid=grid_n, hidden=hidden, residual=self.residual)
+        return network.NetworkArch(grid=grid_n, hidden=hidden)
 
     def resolved(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -111,25 +110,6 @@ def _parse_floats(text: str):
     return values
 
 
-_BOOL_WORDS = {
-    "1": True, "true": True, "yes": True, "on": True,
-    "0": False, "false": False, "no": False, "off": False,
-}
-
-
-def _coerce(key: str, value: str):
-    """Parse a config value by the type of the field's default."""
-    kind = type(getattr(RunConfig, key))
-    if kind is bool:
-        word = str(value).strip().lower()
-        if word not in _BOOL_WORDS:
-            raise ValueError(f"{key}: expected one of {'/'.join(_BOOL_WORDS)}, got {value!r}")
-        return _BOOL_WORDS[word]
-    if kind in (int, float):
-        return kind(value)
-    return value
-
-
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     values = {}
     if path:
@@ -144,7 +124,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
             key = key.strip()
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _coerce(key, value.strip())
+            kind = type(getattr(RunConfig, key))  # int, float or str, as the default
+            values[key] = kind(value.strip())
     for key, value in (overrides or {}).items():
         if value is not None:
             values[key] = value

@@ -2,12 +2,13 @@
 
 The net maps flattened n*n coefficient images to images of the same
 size through a stack of 3x3 same-padding convolutions with ReLU between
-them (linear last layer, optional global residual skip).  Training is
-plain SGD with classical (heavy-ball) momentum on the batch-mean l1
-distance between each target t and z + P(net(z)), z the net's input and
-P a fixed self-adjoint linear projection (identity if omitted).  That is
-the reconstruction z + residual(z) with z = B_alpha y, so the methods
-train their spectral residuals through it.
+them and a linear last layer.  The net adds no skip: the reconstruction
+adds its input z = B_alpha y outside it.  Training is plain SGD with
+classical (heavy-ball) momentum on the batch-mean l1 distance between
+each target t and z + P(net(z)), z the net's input and P a fixed
+self-adjoint linear projection (identity if omitted).  That is the
+reconstruction z + residual(z), so the methods train their spectral
+residuals through it.
 
 The Lipschitz bound is closed-form: each layer contributes the largest
 singular value of its kernel's DFT symbol on the (n+2)^2 torus, of which
@@ -43,7 +44,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NetworkArch:
-    """Grid side, hidden channel widths and the residual-skip flag.
+    """Grid side and hidden channel widths.
 
     ``hidden=(16, 16)`` yields convolutions 1->16->16->1; an empty tuple
     gives the degenerate single 1->1 layer.
@@ -51,7 +52,6 @@ class NetworkArch:
 
     grid: int
     hidden: tuple = (16, 16)
-    residual: bool = False
 
     def __post_init__(self):
         if self.grid < 1:
@@ -129,10 +129,9 @@ def _run_stack(params: NetworkParams, x4):
         z, patches = _conv3x3(a, w, b)
         caches.append((patches, z))
         a = np.maximum(z, 0.0) if li < params.arch.n_layers - 1 else z
-    out = a + x4 if params.arch.residual else a
-    if not np.all(np.isfinite(out)):
+    if not np.all(np.isfinite(a)):
         raise FloatingPointError("network forward pass produced non-finite values")
-    return out, caches
+    return a, caches
 
 
 def _backprop_stack(params: NetworkParams, caches, g):
@@ -266,11 +265,11 @@ def lipschitz_upper_bound(params: NetworkParams) -> float:
     singular value of the kernel's 2-D DFT symbol over the torus
     frequencies (Sedghi, Gupta & Long, ICLR 2019), so each factor is at
     least the layer's exact norm.  ReLU is 1-Lipschitz and biases do not
-    enter, so the product bounds the stack; a global residual skip adds 1.
+    enter, so the product bounds the stack.
     """
     product = 1.0
     for w, _ in params.layers:
         product *= _layer_norm_bound(w, params.arch.grid)
         if product == 0.0:
             break
-    return product + 1.0 if params.arch.residual else product
+    return product

@@ -43,7 +43,8 @@ def kb_value(r, a: float, rho: float):
     scalar = r.ndim == 0
     r = np.atleast_1d(np.abs(r))
     w = np.clip(1.0 - (r / a) ** 2, 0.0, None)
-    val = np.where(r <= a, np.i0(rho * np.sqrt(w)) / np.i0(rho), 0.0)
+    bessel = np.i0(np.append(rho * np.sqrt(w), rho))  # one call; I0(rho) is the last
+    val = np.where(r <= a, bessel[:-1] / bessel[-1], 0.0)
     return float(val[0]) if scalar else val
 
 

@@ -9,8 +9,15 @@ Version 1 is an operator file whose payload is the row-major matrix, the
 singular values (k = min(rows, cols)), the image-space vectors (cols x k)
 and the data-space vectors (rows x k).  Version 2 is a plain array file
 holding only the matrix block (used for phantom and sinogram sets, one
-item per row).  Model files use magic 'RGNN' with an architecture
-descriptor followed by the per-layer weight and bias arrays.
+item per row).  Model files use magic 'RGNN' and hold exactly what
+``NetworkArch`` holds:
+
+    magic 'RGNN' | u32 version=2 | u64 grid | i64 seed | u32 n_hidden
+    | n_hidden x u32 hidden widths | per-layer f64 arrays
+
+Layer l maps channels[l] -> channels[l+1] of ``[1, *hidden, 1]``; its
+weights (cout, cin, 3, 3) are followed by its biases (cout).  A zero grid
+or width, or any other version, is a ``StorageError``.
 
 Every writer appends a metadata footer (utf-8 "key=value" lines followed
 by their u64 byte length) after the declared payload; it holds run
@@ -59,6 +66,7 @@ _MAGIC_ARRAY = b"RGN1"
 _MAGIC_MODEL = b"RGNN"
 _VERSION_OPERATOR = 1
 _VERSION_ARRAY = 2
+_VERSION_MODEL = 2
 
 
 class StorageError(ValueError):
@@ -184,24 +192,22 @@ def read_array(path) -> np.ndarray:
 
 def write_model(path, params: NetworkParams, meta: dict | None = None):
     arch = params.arch
-    shapes = [n for w, _ in params.layers for n in (w.shape[1], w.shape[0])]
-    fields = (1, arch.grid, arch.n_layers, int(arch.residual), params.seed, *shapes)
-    head = _MAGIC_MODEL + struct.pack(f"<IQIBq{len(shapes)}I", *fields)
+    fields = (_VERSION_MODEL, arch.grid, params.seed, len(arch.hidden), *arch.hidden)
+    head = _MAGIC_MODEL + struct.pack(f"<IQqI{len(arch.hidden)}I", *fields)
     _write_container(path, head, [a for layer in params.layers for a in layer], meta)
 
 
 def _decode_model(blob: memoryview, path):
-    (version, grid, n_layers, residual, seed), off = _read_header(blob, _MAGIC_MODEL, "<IQIBq", path)
-    if version != 1:
-        raise StorageError(f"{path}: unsupported model version {version}")
-    shapes = []
-    for _ in range(n_layers):
-        shape, off = _unpack("<II", blob, off, path)
-        shapes.append(shape)
-    hidden = tuple(cout for _, cout in shapes[:-1])
-    arch = NetworkArch(grid=int(grid), hidden=hidden, residual=bool(residual))
+    (version, grid, seed, n_hidden), off = _read_header(blob, _MAGIC_MODEL, "<IQqI", path)
+    if version != _VERSION_MODEL:
+        raise StorageError(f"{path}: expected a model file (version 2), got version {version}")
+    hidden, off = _unpack(f"<{n_hidden}I", blob, off, path)
+    try:
+        arch = NetworkArch(grid=grid, hidden=hidden)
+    except ValueError as exc:
+        raise StorageError(f"{path}: {exc}") from exc
     layers = []
-    for cin, cout in shapes:
+    for cin, cout in zip(arch.channels[:-1], arch.channels[1:]):
         w, off = _f64(blob, off, cout * cin * 9, path)
         b, off = _f64(blob, off, cout, path)
         layers.append((w.reshape(cout, cin, 3, 3), b))

@@ -49,9 +49,9 @@ class TestConfig:
         assert cfg.alpha_list() == [2e-3, 5e-4]
 
     def test_unknown_key_rejected(self, workspace):
-        # the geometry keys set the paper's geometry, and the Landweber step
-        # is always 1/lambda_max: neither has a key of its own
-        for line in ("no_such_key=1", "paper_scale=1", "landweber_beta=0.5"):
+        # the geometry keys set the paper's geometry, the Landweber step is
+        # always 1/lambda_max, and the net has no skip: none has a key of its own
+        for line in ("no_such_key=1", "paper_scale=1", "landweber_beta=0.5", "residual=0", "residual=1"):
             (workspace / "bad.cfg").write_text(line + "\n")
             with pytest.raises(ValueError):
                 load_config("bad.cfg")
@@ -68,8 +68,8 @@ class TestConfig:
     @pytest.mark.parametrize(
         "line, want",
         [
-            ("residual=yes", True), ("residual=off", False), ("seed=12", 12), ("lr=2e-3", 2e-3),
-            ("seed=1.5", None), ("residual=ture", None),
+            ("epochs=3", 3), ("hidden=8,8", "8,8"), ("seed=12", 12), ("lr=2e-3", 2e-3),
+            ("seed=1.5", None),
         ],
     )
     def test_values_parse_by_field_type(self, workspace, line, want):
@@ -285,6 +285,23 @@ class TestExitCodes:
         lines = [entry if line.startswith("alpha=") else line for line in lines]
         manifest.write_text("\n".join(lines) + "\n")
         assert run("evaluate", "--config", "run.cfg") == 3
+
+    @pytest.mark.parametrize(
+        "at, value",
+        [(4, b"\x01\0\0\0"), (8, bytes(8)), (28, bytes(4)), (30, None)],
+        ids=["version-1", "zero-grid", "zero-width", "cut-in-width"],
+    )
+    def test_io_error_malformed_model_header(self, workspace, at, value):
+        # hidden=3: version at byte 4, grid at 8, seed at 16, n_hidden at 24, the width at 28
+        run("assemble", "--config", "run.cfg")
+        run("phantoms", "--config", "run.cfg")
+        assert run("train", "--config", "run.cfg") == 0
+        model = workspace / "models" / "continued" / "model_000.rgnn"
+        blob = model.read_bytes()
+        model.write_bytes(blob[:at] if value is None else blob[:at] + value + blob[at + len(value) :])
+        before = snapshot(workspace)
+        assert run("evaluate", "--config", "run.cfg") == 3
+        assert snapshot(workspace) == before
 
     @pytest.mark.parametrize("index", [-1, -7, 3])
     def test_numeric_error_recon_index_out_of_range(self, workspace, index):

@@ -60,12 +60,6 @@ class TestInitForward:
         assert out.shape == (16,)
         assert np.array_equal(out, network.forward_batch(params, stack)[1])
 
-    def test_residual_skip(self, rng):
-        arch = NetworkArch(grid=4, hidden=(2,), residual=True)
-        params = zero_params(arch)
-        x = rng.standard_normal(16)
-        np.testing.assert_array_equal(network.forward_batch(params, x), x)
-
 
 class TestConv:
     @pytest.mark.parametrize("cin, cout, grid", [(1, 3, 4), (3, 2, 5), (2, 1, 6)])
@@ -139,15 +133,11 @@ class TestGradients:
         assert loss == 0.0
         assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in grads)
 
-    @pytest.mark.parametrize(
-        "hidden, residual",
-        [((3,), False), ((3, 2), False), ((3, 2), True)],
-        ids=["hidden0", "hidden1", "hidden1-residual"],
-    )
-    def test_finite_difference_agreement(self, rng, hidden, residual):
+    @pytest.mark.parametrize("hidden", [(3,), (3, 2)], ids=["hidden0", "hidden1"])
+    def test_finite_difference_agreement(self, rng, hidden):
         # 4x4 input, composed with a fixed projection; the 3->2 middle layer
         # has a non-square kernel, so the adjoint's channel swap shows in values
-        arch = NetworkArch(grid=4, hidden=hidden, residual=residual)
+        arch = NetworkArch(grid=4, hidden=hidden)
         params = network.init_network(arch, 11)
         for _, b in params.layers:
             b[:] = 0.1 * rng.standard_normal(b.shape)
@@ -263,11 +253,6 @@ class TestLipschitz:
             dense = out.transpose(1, 0, 2, 3).reshape(len(basis), -1).T
             exact *= np.linalg.norm(dense, 2)
         assert network.lipschitz_upper_bound(params) >= exact
-
-    def test_residual_adds_one(self):
-        arch = NetworkArch(grid=4, hidden=(2,), residual=True)
-        params = zero_params(arch)
-        assert network.lipschitz_upper_bound(params) == 1.0
 
 
 class TestTraining:

@@ -48,7 +48,7 @@ class TestOperatorContainer:
         # each container is its header, its f64 arrays in order, then the footer
         op = svd_decompose(rng.standard_normal((3, 2)))
         data = rng.standard_normal((4, 3))[:, ::2]
-        params = network.init_network(NetworkArch(grid=4, hidden=(3,), residual=True), 5)
+        params = network.init_network(NetworkArch(grid=4, hidden=(3,)), 5)
         (w0, b0), (w1, b1) = params.layers
         cases = [
             (
@@ -65,7 +65,7 @@ class TestOperatorContainer:
             ),
             (
                 lambda p: storage.write_model(p, params, None),
-                b"RGNN" + struct.pack("<IQIBq", 1, 4, 2, 1, 5) + struct.pack("<IIII", 1, 3, 3, 1),
+                b"RGNN" + struct.pack("<IQqII", 2, 4, 5, 1, 3),
                 [w0, b0, w1, b1],
                 "",
             ),
@@ -110,7 +110,7 @@ class TestArrayContainer:
 
 class TestModelContainer:
     def test_roundtrip(self, tmp_path):
-        arch = NetworkArch(grid=6, hidden=(3, 2), residual=True)
+        arch = NetworkArch(grid=6, hidden=(3, 2))
         params = network.init_network(arch, 77)
         storage.write_model(tmp_path / "m.rgnn", params, {"alpha": "0.5"})
         back = storage.read_model(tmp_path / "m.rgnn")
@@ -127,6 +127,47 @@ class TestModelContainer:
         assert np.array_equal(back.layers[0][0], params.layers[0][0])
 
 
+def _model_bytes(at, value):
+    """A 1->3->2->1 model file on a 6-grid with the bytes at ``at`` replaced:
+    version at 4, grid at 8, seed at 16, n_hidden at 24, widths at 28 and 32."""
+    params = network.init_network(NetworkArch(grid=6, hidden=(3, 2)), 1)
+    payload = b"".join(np.asarray(a, dtype="<f8").tobytes() for layer in params.layers for a in layer)
+    blob = bytearray(b"RGNN" + struct.pack("<IQqIII", 2, 6, 1, 2, 3, 2) + payload + struct.pack("<Q", 0))
+    blob[at : at + len(value)] = value
+    return bytes(blob)
+
+
+class TestMalformedModelHeader:
+    @pytest.mark.parametrize(
+        "at, value, match",
+        [
+            (8, struct.pack("<Q", 0), "grid"),
+            (32, struct.pack("<I", 0), "hidden"),
+            (24, struct.pack("<I", 2**32 - 1), "truncated"),
+        ],
+        ids=["zero-grid", "zero-width", "more-widths-than-bytes"],
+    )
+    def test_bad_field_rejected(self, tmp_path, at, value, match):
+        path = tmp_path / "m.rgnn"
+        path.write_bytes(_model_bytes(at, b""))
+        assert storage.read_model(path).arch == NetworkArch(grid=6, hidden=(3, 2))
+        path.write_bytes(_model_bytes(at, value))
+        with pytest.raises(storage.StorageError, match=match):
+            storage.read_model(path)
+        with pytest.raises(storage.StorageError, match=match):
+            storage.read_metadata(path)
+
+    def test_version_1_layout_rejected(self, tmp_path):
+        # the layout before version 2: a skip-flag byte and a (cin, cout) pair per layer
+        params = network.init_network(NetworkArch(grid=4, hidden=(3,)), 5)
+        head = b"RGNN" + struct.pack("<IQIBq4I", 1, 4, 2, 0, 5, 1, 3, 3, 1)
+        payload = b"".join(np.asarray(a, dtype="<f8").tobytes() for layer in params.layers for a in layer)
+        path = tmp_path / "old.rgnn"
+        path.write_bytes(head + payload + struct.pack("<Q", 0))
+        with pytest.raises(storage.StorageError, match="version 1"):
+            storage.read_model(path)
+
+
 def _operator_file(path, rng, meta=None):
     # 7 x 5: header 24 bytes, then 35 + 5 + 25 + 35 f64 values
     storage.write_operator(path, svd_decompose(rng.standard_normal((7, 5))), meta)
@@ -137,7 +178,7 @@ def _array_file(path, rng, meta=None):
 
 
 def _model_file(path, rng, meta=None):
-    # 1->3->2->1: header 29 bytes, 3 layer shapes of 8 bytes, then 27 + 3, 54 + 2, 18 + 1 f64
+    # 1->3->2->1: header 28 bytes, 2 widths of 4 bytes, then 27 + 3, 54 + 2, 18 + 1 f64
     storage.write_model(path, network.init_network(NetworkArch(grid=6, hidden=(3, 2)), 1), meta)
 
 
@@ -150,8 +191,8 @@ class TestTruncatedContainers:
             (_operator_file, storage.read_operator, 24 + 8 * 100 - 1),
             (_array_file, storage.read_array, 24 + 8 * 44),
             (_model_file, storage.read_model, 20),
-            (_model_file, storage.read_model, 29 + 8 * 3 - 4),
-            (_model_file, storage.read_model, 53 + 8 * (27 + 3) + 100),
+            (_model_file, storage.read_model, 28 + 4 * 2 - 2),  # inside the second width
+            (_model_file, storage.read_model, 36 + 8 * (27 + 3) + 100),
         ],
         ids=["operator-header", "operator-matrix", "operator-vectors", "array-rows",
              "model-header", "model-shapes", "model-weights"],
