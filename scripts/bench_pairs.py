@@ -15,17 +15,25 @@ pipebench/ are only read.  For each end-to-end metric the script prints
 the revision's and this tree's medians, the interquartile range of the
 revision's runs, the pairs this tree won and whether this tree's median
 is within the metric's bound (a relative worsening of at most `bound`).
+After the pairs of a workload, each tree also makes one
+
+    python3 pipebench/run.py --workload <w> --seed <first_seed> --seconds <run_seconds> --trace 1
+
+run, and the script prints both trees' value of each per-layer metric
+of BENCHMARK.json.  These single runs carry no verdict.
 
 With a fourth argument the script also writes there, as JSON, every
 run's value (null for a failed run), the two medians, the revision's
 interquartile range, the wins and the verdict of each metric on each
-workload, with both trees' git shas, this tree's uncommitted changes
+workload, each tree's per-layer values under `per_layer` (null for a
+failed run), with both trees' git shas, this tree's uncommitted changes
 when the runs began (`git status --porcelain`), `os.cpu_count()` and
 numpy's BLAS.
 
-Exit 0 when every run is correct with 0 failed operations and every
-median is within its bound; 1 otherwise; 2 on a usage error.  Standard
-library and numpy only; not part of the test suite.
+Exit 0 when every run, the traced ones included, is correct with 0
+failed operations and every median is within its bound; 1 otherwise; 2
+on a usage error.  Standard library and numpy only; not part of the
+test suite.
 """
 
 from __future__ import annotations
@@ -50,16 +58,17 @@ def usage(message: str) -> int:
     return 2
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds) -> dict | None:
-    """The final JSON line of one benchmark run, or None if it failed."""
-    argv = [
-        "python3", "pipebench/run.py", "--workload", workload, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", "0",
-    ]
+def run_once(tree: Path, flags: list) -> dict | None:
+    """The metrics of one `pipebench/run.py <flags>` run, or None unless it
+    exits 0 correct with 0 failed operations."""
+    what = f"{' '.join(map(str, flags))} in {tree}"
     try:
-        proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+        proc = subprocess.run(
+            ["python3", "pipebench/run.py", *map(str, flags)],
+            cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+        )
     except subprocess.TimeoutExpired:
-        print(f"  {workload} seed {seed} in {tree}: timed out", file=sys.stderr)
+        print(f"  {what}: timed out", file=sys.stderr)
         return None
     lines = proc.stdout.strip().splitlines()
     try:
@@ -67,9 +76,12 @@ def run_once(tree: Path, workload: str, seed: int, seconds) -> dict | None:
     except (IndexError, json.JSONDecodeError):
         result = None
     if proc.returncode != 0 or not isinstance(result, dict):
-        print(f"  {workload} seed {seed} in {tree}: exit {proc.returncode}: {proc.stderr.strip()[-500:]}", file=sys.stderr)
+        print(f"  {what}: exit {proc.returncode}: {proc.stderr.strip()[-500:]}", file=sys.stderr)
         return None
-    return result
+    if result.get("correct") is not True or result.get("failed") != 0:
+        print(f"  {what}: correct={result.get('correct')} failed={result.get('failed')}", file=sys.stderr)
+        return None
+    return result["metrics"]
 
 
 def iqr(values) -> float:
@@ -89,13 +101,12 @@ def compare(bench: dict, base: Path, pairs: int, first_seed: int) -> tuple[bool,
             seed = first_seed + i
             order = (("rev", base), ("this", ROOT)) if i % 2 == 0 else (("this", ROOT), ("rev", base))
             for side, tree in order:
-                result = run_once(tree, workload, seed, bench["run_seconds"])
-                good = result is not None and result.get("correct") is True and result.get("failed") == 0
-                ok &= good
-                runs[side].append(result["metrics"] if good else None)
+                metrics = run_once(tree, ["--workload", workload, "--seed", seed, "--seconds", bench["run_seconds"], "--trace", 0])
+                ok &= metrics is not None
+                runs[side].append(metrics)
                 status = "FAILED"
-                if good:
-                    status = " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.4g}" for m in bench["end_to_end"])
+                if metrics is not None:
+                    status = " ".join(f"{m['name']}={metrics[m['name']]['value']:.4g}" for m in bench["end_to_end"])
                 print(f"  {workload} seed {seed} {side}: {status}", file=sys.stderr)
         complete = [k for k in range(pairs) if runs["rev"][k] is not None and runs["this"][k] is not None]
         record[workload] = {"complete_pairs": len(complete), "metrics": {}}
@@ -127,6 +138,18 @@ def compare(bench: dict, base: Path, pairs: int, first_seed: int) -> tuple[bool,
                 f"  {name:<14}{rev_med:>12.4g}{this_med:>13.4g}{iqr(rev):>10.3g}"
                 f"{f'{wins}/{len(complete)}':>7}{metric['bound']:>7.0%}  {entry['verdict']}"
             )
+        traced = {}
+        for side, tree in (("rev", base), ("this", ROOT)):
+            traced[side] = run_once(tree, ["--workload", workload, "--seed", first_seed, "--seconds", bench["run_seconds"], "--trace", 1])
+            ok &= traced[side] is not None
+        per_layer = record[workload]["per_layer"] = {}
+        print(f"  {'per-layer metric, one traced run at seed ' + str(first_seed):<46}{'rev':>11}{'this':>11}")
+        for metric in bench["per_layer"]:
+            name = metric["name"]
+            values = {side: m[name]["value"] if m and name in m else None for side, m in traced.items()}
+            per_layer[name] = {"unit": metric["unit"], "better": metric["better"], **values}
+            shown = ["FAILED" if v is None else f"{v:.4g}" for v in values.values()]
+            print(f"  {name:<46}{shown[0]:>11}{shown[1]:>11}")
     return ok, record
 
 
@@ -182,6 +205,7 @@ def main(argv) -> int:
             "seeds": [first_seed, first_seed + pairs - 1],
             "run_seconds": bench["run_seconds"],
             "command": "python3 pipebench/run.py --workload <w> --seed <s> --seconds <run_seconds> --trace 0",
+            "per_layer_command": "python3 pipebench/run.py --workload <w> --seed <first_seed> --seconds <run_seconds> --trace 1",
             "workloads": workloads,
             "within_every_bound": ok,
         }

@@ -6,7 +6,9 @@ a manifest, and ``reconstruct`` / ``evaluate`` / ``rates`` / ``distfn`` /
 ``checkfilter`` produce PGM images, CSV curves and plain-text summaries.
 Configuration is a key=value file overridden by flags; every output
 embeds the resolved config hash and seeds in its metadata, so reruns
-with an identical config are byte-identical.
+with an identical config are byte-identical. A value that does not parse
+as its key's type, an empty alpha or delta list, or an unknown ``method``
+or ``filter`` is a usage error (exit 1) before any file is read.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 I/O failure
 (a missing, unreadable, malformed or truncated input file).
@@ -46,10 +48,10 @@ class RunConfig:
     rank_tol: float = 1e-10
     # filter / methods
     filter: str = "tsvd"
-    alphas: str = "1e-2"
+    alphas: tuple = (1e-2,)
     method: str = "continued"
     # network and training
-    hidden: str = "16,16"
+    hidden: tuple = (16, 16)
     lr: float = 0.05
     momentum: float = 0.99
     epochs: int = 20
@@ -57,8 +59,8 @@ class RunConfig:
     # datasets and noise
     train_count: int = 200
     test_count: int = 50
-    deltas: str = "0.02,0.05"
-    rate_deltas: str = "1e-6,3.2e-6,1e-5,3.2e-5,1e-4,3.2e-4,1e-3,3.2e-3,1e-2"
+    deltas: tuple = (0.02, 0.05)
+    rate_deltas: tuple = (1e-6, 3.2e-6, 1e-5, 3.2e-5, 1e-4, 3.2e-4, 1e-3, 3.2e-3, 1e-2)
     # analysis
     mu: float = 0.5
     rho: float = 1.0
@@ -73,12 +75,6 @@ class RunConfig:
     model_dir: str = "models"
     out_dir: str = "out"
 
-    def alpha_list(self):
-        return _parse_floats(self.alphas)
-
-    def delta_list(self):
-        return _parse_floats(self.deltas)
-
     def geometry(self) -> radon.RadonGeometry:
         return radon.RadonGeometry(
             grid_n=self.grid_n,
@@ -88,57 +84,57 @@ class RunConfig:
             kb_shape=self.kb_shape,
         )
 
-    def arch(self, grid_n: int) -> network.NetworkArch:
-        hidden = tuple(int(h) for h in self.hidden.split(",") if h.strip())
-        return network.NetworkArch(grid=grid_n, hidden=hidden)
-
-    def resolved(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     def config_hash(self) -> str:
-        body = "\n".join(f"{k}={v}" for k, v in sorted(self.resolved().items()))
+        body = "\n".join(f"{k}={v}" for k, v in sorted(vars(self).items()))
         return hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
 
     def meta(self) -> dict:
         return {"config": self.config_hash(), "seed": self.seed}
 
 
-def _parse_floats(text: str):
-    values = [float(part) for part in str(text).split(",") if part.strip()]
-    if not values:
-        raise ValueError(f"empty numeric list: {text!r}")
-    return values
+def _convert(key: str, text: str):
+    """One value from its text, by the type of the key's default: int,
+    float or str, or a comma list of the default's element type; a list of
+    floats must not be empty, while ``hidden=`` is the single 1 -> 1 layer."""
+    default = getattr(RunConfig, key)
+    if isinstance(default, tuple):
+        kind = type(default[0])
+        value = tuple(kind(part) for part in text.split(",") if part.strip())
+        if not value and kind is float:
+            raise ValueError("empty list")
+    else:
+        value = type(default)(text.strip())
+    if key == "method" and value not in (regnet.NULLSPACE, regnet.CONTINUED):
+        raise ValueError(f"method must be {regnet.NULLSPACE} or {regnet.CONTINUED}, got {value!r}")
+    if key == "filter":
+        make_filter(value)  # rejects an unknown kind
+    return value
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
-    values = {}
-    if path:
-        known = {f.name for f in fields(RunConfig)}
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+    """The file's ``key=value`` lines, then each override that is not None
+    (the flags, by config key, so ``--seed 0`` overrides too), each value
+    converted by ``_convert``; a malformed line or value is a ValueError."""
+    known = {f.name for f in fields(RunConfig)}
+    items = []
+    lines = Path(path).read_text(encoding="utf-8").splitlines() if path else []
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if line and not line.startswith("#"):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in known:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            kind = type(getattr(RunConfig, key))  # int, float or str, as the default
-            values[key] = kind(value.strip())
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            values[key] = value
+            key, _, text = line.partition("=")
+            items.append((f"{path}:{lineno}: ", key.strip(), text))
+    items += [("", key, str(value)) for key, value in (overrides or {}).items() if value is not None]
+    values = {}
+    for where, key, text in items:
+        if key not in known:
+            raise ValueError(f"{where}unknown config key {key!r}")
+        try:
+            values[key] = _convert(key, text)
+        except ValueError as exc:
+            raise ValueError(f"{where}{key}={text.strip()}: {exc}") from exc
     return RunConfig(**values)
-
-
-def _overrides_from_args(args) -> dict:
-    """The flags given on the command line, by config key; an absent flag is
-    None, which ``load_config`` skips, so ``--seed 0`` overrides too."""
-    return {
-        "seed": args.seed, "method": args.method, "out_dir": args.out_dir,
-        "alphas": args.alpha, "deltas": args.delta,
-    }
 
 
 def _make_cfg_filter(cfg: RunConfig, lambda_max: float):
@@ -163,6 +159,16 @@ def _check_destinations(*paths):
             raise FileNotFoundError(f"no directory for {path}")
         if path.is_dir():
             raise IsADirectoryError(f"{path} is a directory")
+
+
+def _outputs(cfg: RunConfig, *names) -> list:
+    """The paths of the named files in ``out_dir``, which is made, each
+    checked by ``_check_destinations``."""
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = [out_dir / name for name in names]
+    _check_destinations(*paths)
+    return paths
 
 
 def cmd_assemble(cfg: RunConfig) -> int:
@@ -199,18 +205,15 @@ def cmd_phantoms(cfg: RunConfig) -> int:
 
 def cmd_train(cfg: RunConfig) -> int:
     op, filt = _load_operator(cfg)
-    if cfg.method not in (regnet.NULLSPACE, regnet.CONTINUED):
-        raise ValueError(f"config method must be nullspace or continued, got {cfg.method!r}")
     truths = storage.read_array(cfg.train_path)
     if truths.shape[0] == 0:
         raise ValueError("empty training set")
-    alphas = cfg.alpha_list()
+    alphas = cfg.alphas
     # the family's own check, before the first step: each alpha finite,
     # positive and given once (the members are stored in any order)
     untrained = [(a, None) for a in sorted(alphas, reverse=True)]
     regnet.RegNetFamily(cfg.method, op, filt, untrained, lipschitz_cap=0.0)
-    grid_n = int(round(op.cols**0.5))
-    arch = cfg.arch(grid_n)
+    arch = network.NetworkArch(int(round(op.cols**0.5)), cfg.hidden)
     sinograms = truths @ op.matrix.T  # noise-free data
 
     members, caps = [], []
@@ -294,22 +297,20 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     truth = truths[cfg.recon_index]
     grid_n = int(round(op.cols**0.5))
     families = _load_families(cfg, op, filt)
-    alpha = cfg.alpha_list()[0]
+    alpha = cfg.alphas[0]
     y = op.forward(truth)
     images = {}
-    for delta in cfg.delta_list():
+    for delta in cfg.deltas:
         y_delta = radon.add_noise(y, delta, cfg.seed)
         for variant in (regnet.CLASSICAL, *families):
             m = _method(variant, op, filt, alpha, families)
             images[f"recon_d{delta:g}_{variant}.pgm"] = m.reconstruct(y_delta)
 
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _check_destinations(*(out_dir / name for name in ("truth.pgm", *images)))
-    storage.write_pgm16(out_dir / "truth.pgm", truth.reshape(grid_n, grid_n))
-    for name, rec in images.items():
-        storage.write_pgm16(out_dir / name, rec.reshape(grid_n, grid_n))
-        print(f"reconstruct: wrote {out_dir / name}")
+    truth_path, *paths = _outputs(cfg, "truth.pgm", *images)
+    storage.write_pgm16(truth_path, truth.reshape(grid_n, grid_n))
+    for path, rec in zip(paths, images.values()):
+        storage.write_pgm16(path, rec.reshape(grid_n, grid_n))
+        print(f"reconstruct: wrote {path}")
     return 0
 
 
@@ -323,9 +324,9 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     n_val = min(10, truths.shape[0])
     reports = {}
     selection = {}
-    for delta in cfg.delta_list():
+    for delta in cfg.deltas:
         for variant in (regnet.CLASSICAL, *families):
-            methods = [_method(variant, op, filt, alpha, families) for alpha in cfg.alpha_list()]
+            methods = [_method(variant, op, filt, alpha, families) for alpha in cfg.alphas]
             val_report = analysis.evaluate_testset(
                 methods, truths[:n_val], sinograms[:n_val], delta, cfg.seed
             )
@@ -335,35 +336,30 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             meta.update(variant=variant, delta=repr(delta), validation_size=n_val)
             reports[f"evaluate_{variant}_d{delta:g}.csv"] = (report, meta)
 
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _check_destinations(*(out_dir / name for name in (*reports, "selection.txt")))
-    for name, (report, meta) in reports.items():
+    *paths, selection_path = _outputs(cfg, *reports, "selection.txt")
+    for path, (report, meta) in zip(paths, reports.values()):
         rows = [astuple(r) for r in report.rows]
-        storage.write_csv(out_dir / name, ("alpha", "kept", "mse", "mae"), rows, meta)
-        print(f"evaluate: wrote {out_dir / name} (best alpha {report.best_alpha:g})")
-    storage.write_keyvalue(out_dir / "selection.txt", selection, cfg.meta())
+        storage.write_csv(path, ("alpha", "kept", "mse", "mae"), rows, meta)
+        print(f"evaluate: wrote {path} (best alpha {report.best_alpha:g})")
+    storage.write_keyvalue(selection_path, selection, cfg.meta())
     return 0
 
 
 def cmd_rates(cfg: RunConfig) -> int:
     op, filt = _load_operator(cfg)
     sc = analysis.SourceCondition(mu=cfg.mu, rho=cfg.rho)
-    deltas = _parse_floats(cfg.rate_deltas)
-    report = analysis.rate_experiment(op, filt, sc, deltas, cfg.seed, scale=cfg.scale_c)
+    report = analysis.rate_experiment(op, filt, sc, cfg.rate_deltas, cfg.seed, scale=cfg.scale_c)
     theory = 2.0 * cfg.mu / (2.0 * cfg.mu + 1.0)
     summary = {
         "slope": repr(report.slope),
         "residual": repr(report.slope_residual),
         "theory": repr(theory),
     }
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _check_destinations(out_dir / "rates.csv", out_dir / "slope.txt")
+    csv_path, slope_path = _outputs(cfg, "rates.csv", "slope.txt")
     rows = [astuple(r) for r in report.rows]
-    storage.write_csv(out_dir / "rates.csv", ("delta", "alpha", "error"), rows, cfg.meta())
-    storage.write_keyvalue(out_dir / "slope.txt", summary, cfg.meta())
-    print(f"rates: slope {report.slope:.4f} (theory {theory:.4f}) -> {out_dir / 'rates.csv'}")
+    storage.write_csv(csv_path, ("delta", "alpha", "error"), rows, cfg.meta())
+    storage.write_keyvalue(slope_path, summary, cfg.meta())
+    print(f"rates: slope {report.slope:.4f} (theory {theory:.4f}) -> {csv_path}")
     return 0
 
 
@@ -374,12 +370,11 @@ def cmd_distfn(cfg: RunConfig) -> int:
     lines = {
         f"alpha_{alpha:g}": repr(analysis.distance_function(
             regnet.ReconstructionMethod(regnet.CLASSICAL, op, filt, alpha), x, sc
-        )) for alpha in cfg.alpha_list()
+        )) for alpha in cfg.alphas
     }
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    storage.write_keyvalue(out_dir / "distfn.txt", lines, cfg.meta())
-    print(f"distfn: wrote {out_dir / 'distfn.txt'}")
+    (path,) = _outputs(cfg, "distfn.txt")
+    storage.write_keyvalue(path, lines, cfg.meta())
+    print(f"distfn: wrote {path}")
     return 0
 
 
@@ -404,9 +399,8 @@ def cmd_checkfilter(cfg: RunConfig) -> int:
             sup = qualification_sup(filt, alpha, mu, cfg.lambda_max)
             worst = max(worst, float(sup / (filt.constant(mu) * alpha**mu)))
         lines[f"qualification_ratio_mu{mu:g}"] = repr(worst)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    storage.write_keyvalue(out_dir / "filter_report.txt", lines, cfg.meta())
+    (path,) = _outputs(cfg, "filter_report.txt")
+    storage.write_keyvalue(path, lines, cfg.meta())
     for key, value in {**lines, **cfg.meta()}.items():
         print(f"checkfilter: {key}={value}")
     return 0 if report.passed else 2
@@ -438,23 +432,25 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
+        # every flag but --config sets the config key of its dest
         p.add_argument("--config", default=None, help="key=value configuration file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--alpha", default=None, help="comma-separated alpha list")
-        p.add_argument("--delta", default=None, help="comma-separated delta list")
-        p.add_argument("--method", default=None, choices=["nullspace", "continued"])
+        p.add_argument("--seed", default=None)
+        p.add_argument("--alpha", dest="alphas", default=None, help="comma-separated alpha list")
+        p.add_argument("--delta", dest="deltas", default=None, help="comma-separated delta list")
+        p.add_argument("--method", default=None, help="nullspace or continued")
         p.add_argument("--out-dir", dest="out_dir", default=None)
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        flags = vars(_build_parser().parse_args(argv))
+        command, path = flags.pop("command"), flags.pop("config")
         try:
-            cfg = load_config(args.config, _overrides_from_args(args))
-        except ValueError as exc:  # malformed key=value file
+            cfg = load_config(path, flags)
+        except ValueError as exc:  # a malformed line or value
             raise _UsageError(str(exc)) from exc
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[command](cfg)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

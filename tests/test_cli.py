@@ -46,7 +46,7 @@ class TestConfig:
         cfg = load_config("run.cfg", {"seed": 9})
         assert cfg.grid_n == 10
         assert cfg.seed == 9
-        assert cfg.alpha_list() == [2e-3, 5e-4]
+        assert cfg.alphas == (2e-3, 5e-4)
 
     def test_unknown_key_rejected(self, workspace):
         # the geometry keys set the paper's geometry, the Landweber step is
@@ -59,36 +59,50 @@ class TestConfig:
 
     def test_every_default_round_trips_through_text(self, workspace):
         # each key's type comes from its field default; writing every default
-        # as key=value text must read back as RunConfig()
+        # as key=value text, a tuple as a comma list, must read back as RunConfig()
         defaults = RunConfig()
-        text = "".join(f"{f.name}={getattr(defaults, f.name)}\n" for f in fields(RunConfig))
+        text = ""
+        for f in fields(RunConfig):
+            value = getattr(defaults, f.name)
+            text += f"{f.name}={','.join(map(str, value)) if isinstance(value, tuple) else value}\n"
         (workspace / "defaults.cfg").write_text(text)
         assert load_config("defaults.cfg") == defaults
 
     @pytest.mark.parametrize(
         "line, want",
         [
-            ("epochs=3", 3), ("hidden=8,8", "8,8"), ("seed=12", 12), ("lr=2e-3", 2e-3),
-            ("seed=1.5", None),
+            ("epochs=3", 3), ("hidden=8,8", (8, 8)), ("seed=12", 12), ("lr=2e-3", 2e-3),
+            ("alphas=1e-2,1e-3", (0.01, 0.001)), ("hidden=", ()),
+            ("seed=1.5", None), ("alphas=abc", None), ("hidden=abc", None), ("deltas=x", None),
+            ("rate_deltas=q", None), ("alphas=", None), ("method=classical", None), ("filter=foo", None),
         ],
+        ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else None,
     )
-    def test_values_parse_by_field_type(self, workspace, line, want):
+    def test_values_parse_by_field_type(self, workspace, capsys, line, want):
         (workspace / "one.cfg").write_text(line + "\n")
         key = line.partition("=")[0]
         if want is None:
             with pytest.raises(ValueError):
                 load_config("one.cfg")
-            assert run("assemble", "--config", "one.cfg") == 1
+            # rejected at load, before any file is read or written
+            for command in ("assemble", "train", "evaluate"):
+                assert run(command, "--config", "one.cfg") == 1
+                assert "usage error" in capsys.readouterr().err
+            assert not (workspace / "operator.rgn1").exists()
         else:
             value = getattr(load_config("one.cfg"), key)
             assert value == want and type(value) is type(want)
 
-    def test_hash_stable_and_sensitive(self):
+    def test_hash_stable_and_sensitive(self, workspace):
         a = RunConfig()
         b = RunConfig()
         c = RunConfig(seed=1)
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
+        # the hash is of the values, not of their text
+        (workspace / "a.cfg").write_text("alphas=1e-2\n")
+        (workspace / "b.cfg").write_text("alphas=0.01\n")
+        assert load_config("a.cfg").config_hash() == load_config("b.cfg").config_hash()
 
 
 class TestPipeline:
@@ -217,11 +231,12 @@ class TestExitCodes:
     def test_io_error_missing_operator(self, workspace):
         assert run("train", "--config", "run.cfg") == 3
 
-    def test_numeric_error_bad_method(self, workspace):
+    def test_usage_error_bad_method(self, workspace):
         run("assemble", "--config", "run.cfg")
         run("phantoms", "--config", "run.cfg")
         (workspace / "bad.cfg").write_text(TINY_CONFIG.replace("method=continued", "method=classical"))
-        assert run("train", "--config", "bad.cfg") == 2
+        assert run("train", "--config", "bad.cfg") == 1
+        assert not (workspace / "models").exists()
 
     def test_numeric_error_divergence(self, workspace):
         run("assemble", "--config", "run.cfg")
@@ -382,6 +397,23 @@ class TestFailedRunWritesNothing:
         assert run("train", "--config", "run.cfg", "--alpha", alphas) == 2
         assert "epoch=" not in capsys.readouterr().out
         assert snapshot(workspace / "models" / "continued") == before
+
+    @pytest.mark.parametrize(
+        "command, flags, extra",
+        [("train", ("--alpha", "abc"), ""), ("evaluate", (), "method=classical\n")],
+        ids=["train-alpha-abc", "evaluate-method-classical"],
+    )
+    def test_usage_error_changes_no_file(self, workspace, capsys, command, flags, extra):
+        run("assemble", "--config", "run.cfg")
+        run("phantoms", "--config", "run.cfg")
+        assert run("train", "--config", "run.cfg") == 0
+        assert run("evaluate", "--config", "run.cfg") == 0
+        (workspace / "bad.cfg").write_text(TINY_CONFIG + extra)
+        before = snapshot(workspace)
+        capsys.readouterr()
+        assert run(command, "--config", "bad.cfg", *flags) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert snapshot(workspace) == before
 
     def test_phantoms_with_a_missing_directory(self, workspace):
         # the test set's directory is missing: the training set is not written either
