@@ -107,7 +107,7 @@ def _convert(key: str, text: str):
     if key == "method" and value not in (regnet.NULLSPACE, regnet.CONTINUED):
         raise ValueError(f"method must be {regnet.NULLSPACE} or {regnet.CONTINUED}, got {value!r}")
     if key == "filter":
-        make_filter(value)  # rejects an unknown kind
+        value = make_filter(value).name  # the kind, or a ValueError
     return value
 
 

@@ -72,7 +72,7 @@ class TestConfig:
         "line, want",
         [
             ("epochs=3", 3), ("hidden=8,8", (8, 8)), ("seed=12", 12), ("lr=2e-3", 2e-3),
-            ("alphas=1e-2,1e-3", (0.01, 0.001)), ("hidden=", ()),
+            ("alphas=1e-2,1e-3", (0.01, 0.001)), ("hidden=", ()), ("filter=TSVD", "tsvd"),
             ("seed=1.5", None), ("alphas=abc", None), ("hidden=abc", None), ("deltas=x", None),
             ("rate_deltas=q", None), ("alphas=", None), ("method=classical", None), ("filter=foo", None),
         ],
