@@ -132,8 +132,8 @@ def distance_function(method: ReconstructionMethod, x, sc: SourceCondition) -> f
     if op.rank == 0:
         return float(np.linalg.norm(r))
     s = op.singular_values[: op.rank] ** (2.0 * sc.mu)
-    coef = op.image_vectors[:, : op.rank].T @ r
-    kernel_sq = float(np.sum(op.kernel_project(r) ** 2))
+    coef = op.image_coefficients(r, op.rank)
+    kernel_sq = float(np.sum((r - op.synthesize(coef)) ** 2))
 
     w_unconstrained = coef / s
     if np.linalg.norm(w_unconstrained) <= sc.rho:

@@ -181,7 +181,9 @@ def cmd_assemble(cfg: RunConfig) -> int:
         kb_support=geom.kb_support, kb_shape=geom.kb_shape,
     )
     storage.write_operator(cfg.operator_path, op, meta)
-    print(f"assemble: wrote {op.rows}x{op.cols} operator (rank {op.rank}) to {cfg.operator_path}")
+    pairs = np.bincount(op.characters, minlength=1 << len(op.symmetries))
+    blocks = f"{pairs.size} blocks of {'/'.join(map(str, pairs))} pairs" if pairs.size > 1 else "1 block"
+    print(f"assemble: wrote {op.rows}x{op.cols} operator (rank {op.rank}, {blocks}) to {cfg.operator_path}")
     return 0
 
 

@@ -184,11 +184,10 @@ class FilterRegularizer:
         This is the single floating-point path producing reconstruction
         coefficients; every consumer synthesizes from these numbers.
         """
-        y = self.operator._check_data(y, stack=True)
-        return (y @ self.operator.data_vectors[:, : self.operator.rank]) * self._gain()
+        return self.operator.data_coefficients(y, self.operator.rank) * self._gain()
 
     def synthesize(self, coef) -> np.ndarray:
-        return coef @ self.operator.image_vectors[:, : self.operator.rank].T
+        return self.operator.synthesize(coef)
 
     def apply(self, y) -> np.ndarray:
         """B_alpha y, row by row for a (count, rows) stack."""

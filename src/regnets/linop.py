@@ -32,11 +32,24 @@ of sigma over the blocks taken in character order (chi_s(t) =
 blocks of both shapes supply fewer than min(rows, cols) singular pairs
 (the zero pairs they lack come from no thin block SVD), the whole matrix
 is factored as the one block instead, as it is with no symmetries.
+
+The operator records the group it was factored with: the generator pairs
+and the character of each stored pair (the trivial group and character 0
+without symmetries or after that fallback).  So U and V are block diagonal
+in the orbit bases, and every product with them is done one block at a
+time.  Entry ``U[i, n]`` of a pair n of character chi is chi(t) U[i_O, n]
+at each index i = t(i_O) of the orbit O with first index i_O, and is 0 on
+the orbits chi drops; so <u_n, x> = sum_O U[i_O, n] (1/|H_O|) sum_t chi(t)
+x_{t(i_O)}, and sum_n c_n u_n is sum_chi chi(t) (U_chi c)_O at t(i_O),
+where U_chi holds the rows i_O and the columns of chi's pairs of U.  The
+same holds for V with the row permutations.  A group of one element is
+one block, U or V itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +57,9 @@ __all__ = ["SvdOperator", "svd_decompose"]
 
 # elements per chunk of the passes that would otherwise copy a whole matrix
 _CHUNK = 1 << 18
+# generators of a symmetry group at most: 2^8 blocks, and a group table of
+# 2^8 index maps on each side
+_MAX_GENERATORS = 8
 
 
 @dataclass(frozen=True)
@@ -61,6 +77,15 @@ class SvdOperator:
     singular_values : (k,) array, descending and non-negative.
     rank_tol : float
         Relative threshold; sigma_n <= rank_tol * sigma_1 is treated as 0.
+    symmetries : tuple
+        Generator pairs ``(row_perm, col_perm)`` of the group the singular
+        system is block diagonal for (the module docstring); ``()`` for the
+        trivial group.  They must be commuting involutions, each new to the
+        group; that they leave the matrix fixed is not checked here.
+    characters : (k,) int array or None
+        The character of each stored pair, below ``2 ** len(symmetries)``;
+        None means 0 for every pair.  U and V must have the block structure
+        these give them: products read only the orbits' first rows.
     rank : int
         Number of kept directions: columns 0 .. rank-1 (a prefix, as the
         singular values descend).  ``retained_rank(alpha)`` is a shorter one.
@@ -71,7 +96,10 @@ class SvdOperator:
     data_vectors: np.ndarray
     singular_values: np.ndarray
     rank_tol: float
+    symmetries: tuple = ()
+    characters: np.ndarray | None = None
     rank: int = field(init=False)
+    _group: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sigma = self.singular_values
@@ -79,6 +107,17 @@ class SvdOperator:
             raise ValueError("singular values must be finite, non-negative and non-increasing")
         cutoff = self.rank_tol * (sigma[0] if sigma.size else 0.0)
         object.__setattr__(self, "rank", int(np.count_nonzero(sigma > cutoff)))
+        row_perms, col_perms = _group_table(self.rows, self.cols, self.symmetries)
+        k = sigma.size
+        chars = np.zeros(k, dtype=np.intp) if self.characters is None else np.asarray(self.characters)
+        if chars.shape != (k,) or chars.dtype.kind not in "iu":
+            raise ValueError(f"expected {k} integer characters, got shape {chars.shape} of {chars.dtype}")
+        if k and (chars.min() < 0 or chars.max() >= row_perms.shape[0]):
+            raise ValueError(f"characters must lie in [0, {row_perms.shape[0]}), got [{chars.min()}, {chars.max()}]")
+        generators = tuple((row_perms[1 << n], col_perms[1 << n]) for n in range(len(self.symmetries)))
+        object.__setattr__(self, "symmetries", generators)
+        object.__setattr__(self, "characters", chars.astype(np.intp, copy=False))
+        object.__setattr__(self, "_group", (row_perms, col_perms))
 
     @property
     def rows(self) -> int:
@@ -106,12 +145,32 @@ class SvdOperator:
         """A x."""
         return self.matrix @ self._check_coeff(x)
 
+    @cached_property
+    def _image_blocks(self) -> "_BlockBasis":
+        return _BlockBasis(self.image_vectors, self._group[1], self.characters)
+
+    @cached_property
+    def _data_blocks(self) -> "_BlockBasis":
+        return _BlockBasis(self.data_vectors, self._group[0], self.characters)
+
+    def image_coefficients(self, x, r: int) -> np.ndarray:
+        """<u_n, x> for n < r, for one coefficient vector or a (count, cols)
+        stack of them, row by row."""
+        return self._image_blocks.coefficients(self._check_coeff(x, stack=True), r)
+
+    def data_coefficients(self, y, r: int) -> np.ndarray:
+        """<v_n, y> for n < r, for one data vector or a (count, rows) stack."""
+        return self._data_blocks.coefficients(self._check_data(y, stack=True), r)
+
+    def synthesize(self, coef) -> np.ndarray:
+        """sum_{n < r} coef_n u_n for coefficients of length r, or a
+        (count, r) stack of them, row by row."""
+        return self._image_blocks.synthesize(np.asarray(coef, dtype=float))
+
     def spectral_multiply(self, x, scale) -> np.ndarray:
         """sum_{n < len(scale)} scale_n <u_n, x> u_n, for one coefficient
         vector or a (count, cols) stack of them, row by row."""
-        x = self._check_coeff(x, stack=True)
-        u = self.image_vectors[:, : len(scale)]
-        return ((x @ u) * scale) @ u.T
+        return self.synthesize(self.image_coefficients(x, len(scale)) * scale)
 
     def project_out(self, x, r: int) -> np.ndarray:
         """x minus its orthogonal projection onto u_0 .. u_{r-1}, for one
@@ -135,6 +194,72 @@ def _check_length(x, length: int, space: str, stack: bool) -> np.ndarray:
     if x.ndim not in ((1, 2) if stack else (1,)) or x.shape[-1] != length:
         raise ValueError(f"expected {space} vector of length {length}, got shape {x.shape}")
     return x
+
+
+class _BlockBasis:
+    """One side's singular vectors, U or V, as one dense block per character.
+
+    Block chi is the exact sub-matrix of the basis on the first index of
+    every orbit and the columns of chi's pairs, in stored order; for the
+    trivial group it is the basis itself.  Products gather the input into
+    orbit coordinates, multiply block by block and scatter back, as the
+    module docstring describes.
+    """
+
+    def __init__(self, basis, perms, characters):
+        self.size, self.count = basis.shape
+        if perms.shape[0] == 1:
+            self.idx = None
+            self.blocks = [basis]
+            self.pairs = [np.arange(basis.shape[1])]
+            return
+        chars = _characters(perms.shape[0].bit_length() - 1)
+        self.chars = chars
+        self.idx, stab = _orbit_basis(perms, chars[0])  # every orbit
+        self.inv_stab = 1.0 / stab
+        order = np.argsort(characters, kind="stable")
+        bounds = np.cumsum(np.bincount(characters, minlength=len(chars)))[:-1]
+        self.blocks = np.split(np.take(basis[self.idx[0]], order, axis=1), bounds, axis=1)
+        self.pairs = np.split(order, bounds)
+
+    def _gather(self, x) -> list:
+        """Per block, (1/|H|) sum_t chi(t) x[t(i)] for each orbit's first index i."""
+        if self.idx is None:
+            return [x]
+        coords = (self.chars @ x[..., self.idx]) * self.inv_stab
+        return [coords[..., s, :] for s in range(len(self.chars))]
+
+    def _scatter(self, parts) -> np.ndarray:
+        """The vector that is sum_chi chi(t) part_chi[O] at each index t(i) of orbit O."""
+        if self.idx is None:
+            return parts[0]
+        values = self.chars @ np.stack(parts, axis=-2)  # the characters are symmetric
+        out = np.empty(values.shape[:-2] + (self.size,))
+        out[..., self.idx] = values
+        return out
+
+    def _check_count(self, r: int):
+        if not 0 <= r <= self.count:
+            raise ValueError(f"expected at most {self.count} singular vectors, got {r}")
+
+    def coefficients(self, x, r: int) -> np.ndarray:
+        """The inner products of x with columns 0 .. r-1, in stored order."""
+        self._check_count(r)
+        out = np.empty(x.shape[:-1] + (r,))
+        for coords, block, pairs in zip(self._gather(x), self.blocks, self.pairs):
+            n = int(np.searchsorted(pairs, r))
+            out[..., pairs[:n]] = coords @ block[:, :n]
+        return out
+
+    def synthesize(self, coef) -> np.ndarray:
+        """sum_n coef_n times column n, for n below the length of coef."""
+        r = coef.shape[-1]
+        self._check_count(r)
+        parts = []
+        for block, pairs in zip(self.blocks, self.pairs):
+            n = int(np.searchsorted(pairs, r))
+            parts.append(coef[..., pairs[:n]] @ block[:, :n].T)
+        return self._scatter(parts)
 
 
 def svd_decompose(matrix, rank_tol: float = 1e-10, symmetries=()) -> SvdOperator:
@@ -181,13 +306,15 @@ def svd_decompose(matrix, rank_tol: float = 1e-10, symmetries=()) -> SvdOperator
     u = np.zeros((cols, k))  # an orbit a block drops is zero in its columns
     v = np.zeros((rows, k))
     sigma = np.zeros(k)
+    characters = np.zeros(k, dtype=np.intp)
     pos = 0
-    for chi, row_idx, row_stab, col_idx, col_stab in blocks:
+    for s_chi, (chi, row_idx, row_stab, col_idx, col_stab) in enumerate(blocks):
         block = _gather_block(matrix, chi, row_idx, row_stab, col_idx, col_stab)
         # the transposed block, so that u comes out (cols, k) and row-major
         w, s, zt = np.linalg.svd(block.T, full_matrices=False)
         del block
         sigma[pos : pos + s.size] = s
+        characters[pos : pos + s.size] = s_chi
         _scatter(u, chi, col_idx, col_stab, w, pos)
         _scatter(v, chi, row_idx, row_stab, zt.T, pos)
         pos += s.size
@@ -203,15 +330,28 @@ def svd_decompose(matrix, rank_tol: float = 1e-10, symmetries=()) -> SvdOperator
         data_vectors=v,
         singular_values=sigma,
         rank_tol=float(rank_tol),
+        symmetries=tuple(symmetries) if len(blocks) > 1 else (),
+        characters=characters[order],
     )
 
 
 def _symmetry_group(matrix, symmetries):
+    """``_group_table`` of the pairs, each of which must also leave the
+    matrix fixed."""
+    row_perms, col_perms = _group_table(*matrix.shape, symmetries)
+    for n in range(len(symmetries)):
+        _check_invariant(matrix, row_perms[1 << n], col_perms[1 << n], n)
+    return row_perms, col_perms
+
+
+def _group_table(rows: int, cols: int, symmetries):
     """Every element of the group the pairs generate, as ``(|G|, rows)`` and
     ``(|G|, cols)`` index arrays; element ``b`` composes the generators whose
-    bit is set in ``b``, so element 0 is the identity.  Each pair must be a
-    commuting involution, new to the group, that leaves the matrix fixed."""
-    rows, cols = matrix.shape
+    bit is set in ``b``, so element 0 is the identity.  There may be at most
+    ``_MAX_GENERATORS`` pairs, and each must be a commuting involution of the
+    index sets, new to the group."""
+    if len(symmetries) > _MAX_GENERATORS:
+        raise ValueError(f"at most {_MAX_GENERATORS} symmetries, got {len(symmetries)}")
     row_perms = np.arange(rows)[None, :]
     col_perms = np.arange(cols)[None, :]
     for n, pair in enumerate(symmetries):
@@ -231,7 +371,6 @@ def _symmetry_group(matrix, symmetries):
         new_rows, new_cols = r[row_perms], c[col_perms]
         if np.any(np.all(new_rows == np.arange(rows), axis=1) & np.all(new_cols == np.arange(cols), axis=1)):
             raise ValueError(f"symmetry {n} lies in the group of the earlier ones")
-        _check_invariant(matrix, r, c, n)
         row_perms = np.vstack([row_perms, new_rows])
         col_perms = np.vstack([col_perms, new_cols])
     return row_perms, col_perms

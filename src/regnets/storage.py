@@ -7,7 +7,15 @@ Binary container "RGN1" (all little-endian):
 
 Version 1 is an operator file whose payload is the row-major matrix, the
 singular values (k = min(rows, cols)), the image-space vectors (cols x k)
-and the data-space vectors (rows x k).  Version 2 is a plain array file
+and the data-space vectors (rows x k).  An operator factored one block per
+symmetry character (``linop.svd_decompose``) records its group after
+these: the footer key ``symmetries=m`` declares m generators, and the
+section holds, as u64, each generator's row permutation (rows) and column
+permutation (cols), then the character of each stored pair (k values
+below 2^m).  Each generator must be a commuting involution new to the
+group, and m lies in 1..8; the section is not checked against the
+matrix.  An operator without symmetries has neither the key nor the
+section.  Version 2 is a plain array file
 holding only the matrix block (used for phantom and sinogram sets, one
 item per row).  Model files use magic 'RGNN' and hold exactly what
 ``NetworkArch`` holds:
@@ -39,6 +47,7 @@ from __future__ import annotations
 import mmap
 import os
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +76,8 @@ _MAGIC_MODEL = b"RGNN"
 _VERSION_OPERATOR = 1
 _VERSION_ARRAY = 2
 _VERSION_MODEL = 2
+# the footer key of an operator file's symmetry section (the module docstring)
+_SYMMETRY_KEY = "symmetries"
 
 
 class StorageError(ValueError):
@@ -92,6 +103,15 @@ def _read_footer(blob: memoryview, end: int, path) -> dict:
     return dict(line.partition("=")[::2] for line in lines if "=" in line)
 
 
+def _footer_start(blob: memoryview, path) -> int:
+    """Where the footer that the file's last 8 bytes declare begins."""
+    _need(blob, 8, path)
+    (length,) = struct.unpack("<Q", blob[-8:])
+    if length > len(blob) - 8:
+        raise StorageError(f"{path}: truncated or malformed metadata footer ({length} bytes declared)")
+    return len(blob) - 8 - length
+
+
 def _need(blob: memoryview, end: int, path):
     if end > len(blob):
         raise StorageError(f"{path}: truncated file ({len(blob)} bytes, at least {end} declared)")
@@ -103,10 +123,11 @@ def _unpack(fmt: str, blob: memoryview, offset: int, path):
     return struct.unpack(fmt, blob[offset:end]), end
 
 
-def _f64(blob: memoryview, offset: int, count: int, path):
-    """A view of ``count`` f64 values in the file buffer; writable, no copy."""
+def _f64(blob: memoryview, offset: int, count: int, path, dtype="<f8"):
+    """A view of ``count`` f64 values (or of another 8-byte ``dtype``) in
+    the file buffer; writable, no copy."""
     _need(blob, offset + 8 * count, path)
-    return np.frombuffer(blob, dtype="<f8", count=count, offset=offset), offset + 8 * count
+    return np.frombuffer(blob, dtype=dtype, count=count, offset=offset), offset + 8 * count
 
 
 def _read_blob(path) -> memoryview:
@@ -125,15 +146,16 @@ def _read_header(blob: memoryview, magic: bytes, fmt: str, path):
 
 
 def _write_container(path, head: bytes, arrays, meta: dict | None):
-    """Header bytes, then each array as little-endian f64 in order, then the
-    footer.  The arrays go to the file through the buffer protocol, so no
-    bytes copy of the payload is made."""
+    """Header bytes, then each array in order, integer arrays as
+    little-endian u64 and the others as f64, then the footer.  The arrays go
+    to the file through the buffer protocol, so no bytes copy of the
+    payload is made."""
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
             f.write(head)
             for a in arrays:
-                f.write(np.ascontiguousarray(a, dtype="<f8"))
+                f.write(np.ascontiguousarray(a, dtype="<u8" if a.dtype.kind in "iu" else "<f8"))
             f.write(_footer_bytes(meta))
         os.replace(tmp, path)
     except BaseException:
@@ -144,8 +166,12 @@ def _write_container(path, head: bytes, arrays, meta: dict | None):
 def write_operator(path, op: SvdOperator, meta: dict | None = None):
     meta = dict(meta or {})
     meta.setdefault("rank_tol", repr(op.rank_tol))
+    meta.pop(_SYMMETRY_KEY, None)
     head = _MAGIC_ARRAY + struct.pack("<IQQ", _VERSION_OPERATOR, op.rows, op.cols)
-    arrays = (op.matrix, op.singular_values, op.image_vectors, op.data_vectors)
+    arrays = [op.matrix, op.singular_values, op.image_vectors, op.data_vectors]
+    if op.symmetries:
+        meta[_SYMMETRY_KEY] = len(op.symmetries)
+        arrays += [perm for pair in op.symmetries for perm in pair] + [op.characters]
     _write_container(path, head, arrays, meta)
 
 
@@ -158,14 +184,34 @@ def _decode_operator(blob: memoryview, path):
     sigma, off = _f64(blob, off, k, path)
     u, off = _f64(blob, off, cols * k, path)
     v, off = _f64(blob, off, rows * k, path)
-    meta = _read_footer(blob, off, path)
-    return SvdOperator(
+    start = _footer_start(blob, path)
+    meta = _read_footer(blob, start, path)
+    symmetries, characters = [], None
+    if _SYMMETRY_KEY in meta:
+        count = meta[_SYMMETRY_KEY]
+        if not (count.isascii() and count.isdigit() and int(count) >= 1):
+            raise StorageError(f"{path}: {_SYMMETRY_KEY}={count!r} is not a positive generator count")
+        for _ in range(int(count)):
+            row_perm, off = _f64(blob, off, rows, path, "<u8")
+            col_perm, off = _f64(blob, off, cols, path, "<u8")
+            # as index arrays; an entry of 2^63 or more turns negative, so it is no permutation
+            symmetries.append((row_perm.astype(np.intp), col_perm.astype(np.intp)))
+        characters, off = _f64(blob, off, k, path, "<u8")
+    if off != start:
+        raise StorageError(f"{path}: the payload ends at byte {off}, the metadata footer begins at byte {start}")
+    op = SvdOperator(
         matrix=matrix.reshape(rows, cols),
         image_vectors=u.reshape(cols, k),
         data_vectors=v.reshape(rows, k),
         singular_values=sigma,
         rank_tol=float(meta.get("rank_tol", 1e-10)),
-    ), meta
+    )
+    if symmetries:  # checked apart, so that unordered singular values stay a numeric error
+        try:
+            op = replace(op, symmetries=tuple(symmetries), characters=characters)
+        except ValueError as exc:
+            raise StorageError(f"{path}: symmetry section: {exc}") from exc
+    return op, meta
 
 
 def read_operator(path) -> SvdOperator:

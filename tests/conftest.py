@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -30,6 +31,38 @@ def tiny_radon_op():
     """Small real tomography operator (80 x 256, grid 16)."""
     geom = radon.RadonGeometry(grid_n=16, n_angles=5, n_detectors=16)
     return svd_decompose(radon.assemble_matrix(geom), symmetries=geom.mirrors())
+
+
+def split_operator_file(path):
+    """An operator file as (everything up to the data-space vectors' end,
+    the symmetry section, the footer text)."""
+    blob = path.read_bytes()
+    rows, cols = struct.unpack("<QQ", blob[8:24])
+    k = min(rows, cols)
+    end = 24 + 8 * (rows * cols + k + (rows + cols) * k)
+    (length,) = struct.unpack("<Q", blob[-8:])
+    start = len(blob) - 8 - length
+    return blob[:end], blob[end:start], blob[start:-8].decode()
+
+
+def join_operator_file(path, body, section, footer):
+    path.write_bytes(body + section + footer.encode() + struct.pack("<Q", len(footer.encode())))
+
+
+def _put_u64(section, index, value):
+    return section[: 8 * index] + struct.pack("<Q", value) + section[8 * index + 8 :]
+
+
+# Corruptions of an operator file's symmetry section, as functions of its
+# section bytes and footer text; each must make the file a StorageError.
+SECTION_CORRUPTIONS = {
+    "cut": lambda section, footer: (section[:-8], footer),
+    "short-permutation": lambda section, footer: (section[8:], footer),
+    "not-a-permutation": lambda section, footer: (_put_u64(section, 0, struct.unpack("<Q", section[8:16])[0]), footer),
+    "character-2^m": lambda section, footer: (_put_u64(section, len(section) // 8 - 1, 4), footer),
+    "key-without-section": lambda section, footer: (b"", footer),
+    "zero-generators": lambda section, footer: (section, footer.replace("symmetries=2", "symmetries=0")),
+}
 
 
 def projected_gradient_distance(op, r, mu, rho, iters=300_000, tol=1e-8):

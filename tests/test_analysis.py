@@ -15,7 +15,7 @@ from regnets.analysis import (
     source_element,
 )
 from regnets.filters import TikhonovFilter, TruncatedSvdFilter
-from regnets.linop import svd_decompose
+from regnets.linop import SvdOperator, svd_decompose
 from regnets.network import NetworkArch
 from regnets.regnet import CLASSICAL, CONTINUED, NULLSPACE, ReconstructionMethod, RegNetFamily
 
@@ -68,6 +68,23 @@ class TestDistanceFunction:
         got = distance_function(classical(small_op, 0.1), x, sc)
         want = np.linalg.norm(small_op.kernel_project(x))
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("rho", [1e9, 0.05], ids=["kernel-mass", "ball-binds"])
+    def test_blocks_give_the_one_block_distance(self, tiny_radon_op, rho):
+        # the mirror blocks against the same singular system used as one block
+        op = tiny_radon_op
+        assert len(op.symmetries) == 2
+        one_block = SvdOperator(op.matrix, op.image_vectors, op.data_vectors, op.singular_values, op.rank_tol)
+        params = network.init_network(NetworkArch(grid=16, hidden=(2,)), 4)
+        alpha = float(op.singular_values[op.rank // 2] ** 2)
+        sc = SourceCondition(mu=0.5, rho=rho)
+        x = np.random.default_rng(8).standard_normal(op.cols)
+        for variant, net in ((CLASSICAL, None), (CONTINUED, params), (NULLSPACE, params)):
+            got, want = (
+                distance_function(ReconstructionMethod(variant, o, TruncatedSvdFilter(), alpha, net), x, sc)
+                for o in (op, one_block)
+            )
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestErrorBound:

@@ -3,6 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from conftest import SECTION_CORRUPTIONS, join_operator_file, split_operator_file
 from regnets import storage
 from regnets.cli import RunConfig, load_config, main
 
@@ -106,6 +107,16 @@ class TestConfig:
 
 
 class TestPipeline:
+    @pytest.mark.parametrize(
+        "geometry, blocks",
+        [("", "4 blocks of 24/18/18/12 pairs"), ("grid_n=6\nn_angles=5\nn_detectors=8\n", "1 block")],
+        ids=["four-blocks", "fallback"],
+    )
+    def test_assemble_reports_the_pairs_per_block(self, workspace, capsys, geometry, blocks):
+        (workspace / "geom.cfg").write_text(TINY_CONFIG + geometry)
+        assert run("assemble", "--config", "geom.cfg") == 0
+        assert f", {blocks}) to operator.rgn1" in capsys.readouterr().out
+
     def test_full_pipeline(self, workspace):
         assert run("assemble", "--config", "run.cfg") == 0
         assert run("phantoms", "--config", "run.cfg") == 0
@@ -270,6 +281,19 @@ class TestExitCodes:
         blob = (workspace / "operator.rgn1").read_bytes()
         (workspace / "operator.rgn1").write_bytes(blob[:-3])
         assert run("evaluate", "--config", "run.cfg") == 3
+
+    @pytest.mark.parametrize("corruption", sorted(SECTION_CORRUPTIONS))
+    def test_io_error_malformed_symmetry_section(self, workspace, corruption):
+        run("assemble", "--config", "run.cfg")
+        run("phantoms", "--config", "run.cfg")
+        assert run("train", "--config", "run.cfg") == 0
+        path = workspace / "operator.rgn1"
+        body, section, footer = split_operator_file(path)
+        assert "symmetries=2" in footer
+        join_operator_file(path, body, *SECTION_CORRUPTIONS[corruption](section, footer))
+        before = snapshot(workspace)
+        assert run("evaluate", "--config", "run.cfg") == 3
+        assert snapshot(workspace) == before
 
     def test_io_error_empty_operator(self, workspace):
         run("phantoms", "--config", "run.cfg")

@@ -275,3 +275,98 @@ class TestSpectralMultiply:
     def test_rejects_a_wrong_length(self, small_op):
         with pytest.raises(ValueError):
             small_op.spectral_multiply(np.zeros((2, small_op.cols + 1)), np.ones(small_op.rank))
+
+
+# an even grid whose blocks are all used: 4 characters on both sides
+EVEN_GEOMETRY = (10, 6, 12)
+
+
+def _operator(case):
+    if case == "random":
+        return svd_decompose(np.random.default_rng(5).standard_normal((15, 25)))
+    geom = _geometry(case)
+    return svd_decompose(radon.assemble_matrix(geom), symmetries=geom.mirrors())
+
+
+def _scattered(blocks):
+    """The full basis rebuilt from a side's block factors, one block at a time."""
+    out = np.zeros((blocks.size, blocks.count))
+    for s, (block, pairs) in enumerate(zip(blocks.blocks, blocks.pairs)):
+        parts = [np.zeros((pairs.size, other.shape[0])) for other in blocks.blocks]
+        parts[s] = block.T
+        out[:, pairs] = blocks._scatter(parts).T
+    return out
+
+
+def _close(got, want):
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+class TestBlockProducts:
+    @pytest.mark.parametrize("case", FIXED_POINT_GEOMETRIES + [EVEN_GEOMETRY, "random"])
+    def test_products_match_the_sums_over_the_singular_vectors(self, case):
+        op = _operator(case)
+        u, v = op.image_vectors, op.data_vectors
+        rng = np.random.default_rng(11)
+        alpha = float(op.singular_values[op.rank // 2] ** 2)
+        for r in (0, op.retained_rank(alpha), op.rank):
+            for count in ((), (3,)):
+                x = rng.standard_normal(count + (op.cols,))
+                y = rng.standard_normal(count + (op.rows,))
+                c = rng.standard_normal(count + (r,))
+                x_coef = np.stack([x @ u[:, n] for n in range(r)], axis=-1) if r else np.zeros(count + (0,))
+                y_coef = np.stack([y @ v[:, n] for n in range(r)], axis=-1) if r else np.zeros(count + (0,))
+                synth = sum((c[..., n, None] * u[:, n] for n in range(r)), np.zeros(count + (op.cols,)))
+                _close(op.image_coefficients(x, r), x_coef)
+                _close(op.data_coefficients(y, r), y_coef)
+                _close(op.synthesize(c), synth)
+
+    @pytest.mark.parametrize("shape", FIXED_POINT_GEOMETRIES + [EVEN_GEOMETRY])
+    def test_blocks_scatter_back_to_the_basis(self, shape, tmp_path):
+        from regnets import storage
+
+        op = _operator(shape)
+        storage.write_operator(tmp_path / "op.rgn1", op)
+        back = storage.read_operator(tmp_path / "op.rgn1")
+        for each in (op, back):
+            assert np.array_equal(_scattered(each._image_blocks), op.image_vectors)
+            assert np.array_equal(_scattered(each._data_blocks), op.data_vectors)
+        assert np.array_equal(back.characters, op.characters)
+        assert len(back.symmetries) == len(op.symmetries)
+
+    @pytest.mark.parametrize("shape", SHORT_BLOCK_GEOMETRIES)
+    def test_fallback_records_the_trivial_group(self, shape):
+        op = _operator(shape)
+        assert op.symmetries == ()
+        assert not np.any(op.characters)
+        assert op._image_blocks.blocks[0] is op.image_vectors
+
+    def test_five_arguments_build_the_one_block_operator(self):
+        op = _operator(EVEN_GEOMETRY)
+        assert len(op.symmetries) == 2
+        plain = SvdOperator(op.matrix, op.image_vectors, op.data_vectors, op.singular_values, op.rank_tol)
+        assert plain.symmetries == () and not np.any(plain.characters)
+        # U and V as they are: no copy of either
+        assert plain._image_blocks.blocks == [op.image_vectors] and plain._image_blocks.blocks[0] is op.image_vectors
+        assert plain._data_blocks.blocks[0] is op.data_vectors
+        x = np.random.default_rng(2).standard_normal((2, op.cols))
+        _close(plain.project_out(x, op.rank), op.project_out(x, op.rank))
+
+    def test_malformed_group_rejected(self):
+        op = _operator(EVEN_GEOMETRY)
+        (r0, c0), pair1 = op.symmetries
+        parts = (op.matrix, op.image_vectors, op.data_vectors, op.singular_values, op.rank_tol)
+        not_perm = c0.copy()
+        not_perm[0] = not_perm[1]
+        for symmetries, characters in (
+            ([(r0[:-1], c0), pair1], op.characters),
+            ([(r0, not_perm), pair1], op.characters),
+            ([(r0, c0), pair1], np.full(op.characters.size, 4)),
+            ([(r0, c0), pair1], op.characters[:-1]),
+            ([(r0, c0)] * 9, op.characters),
+        ):
+            with pytest.raises(ValueError):
+                SvdOperator(*parts, symmetries, characters)
+        with pytest.raises(ValueError):
+            op.synthesize(np.zeros(op.singular_values.size + 1))

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from regnets import network, storage
+from conftest import SECTION_CORRUPTIONS, join_operator_file, split_operator_file
+from regnets import network, radon, storage
 from regnets.linop import svd_decompose
 from regnets.network import NetworkArch
 
@@ -324,3 +325,48 @@ class TestManifestPgmCsv:
     def test_keyvalue_provenance_follows_values(self, tmp_path):
         storage.write_keyvalue(tmp_path / "kv.txt", {"slope": "0.5", "n": 3}, {"config": "cafe", "seed": 0})
         assert (tmp_path / "kv.txt").read_text() == "slope=0.5\nn=3\nconfig=cafe\nseed=0\n"
+
+
+def _symmetric_operator():
+    geom = radon.RadonGeometry(grid_n=10, n_angles=6, n_detectors=12)
+    return svd_decompose(radon.assemble_matrix(geom), symmetries=geom.mirrors())
+
+
+class TestSymmetrySection:
+    def test_roundtrip(self, tmp_path):
+        op = _symmetric_operator()
+        path = tmp_path / "op.rgn1"
+        storage.write_operator(path, op, {"seed": 3})
+        body, section, footer = split_operator_file(path)
+        (row_x, col_x), (row_y, col_y) = op.symmetries
+        want = np.concatenate([row_x, col_x, row_y, col_y, op.characters]).astype("<u8").tobytes()
+        assert section == want
+        assert footer == f"rank_tol={op.rank_tol!r}\nseed=3\nsymmetries=2\n"
+        back = storage.read_operator(path)
+        for name in ("matrix", "singular_values", "image_vectors", "data_vectors", "characters"):
+            assert np.array_equal(getattr(back, name), getattr(op, name)), name
+        for got, pair in zip(back.symmetries, op.symmetries):
+            assert all(np.array_equal(a, b) for a, b in zip(got, pair))
+        assert storage.read_metadata(path)["symmetries"] == "2"
+
+    @pytest.mark.parametrize("corruption", sorted(SECTION_CORRUPTIONS))
+    def test_malformed_section_rejected(self, tmp_path, corruption):
+        path = tmp_path / "op.rgn1"
+        storage.write_operator(path, _symmetric_operator())
+        body, section, footer = split_operator_file(path)
+        join_operator_file(path, body, section, footer)
+        storage.read_operator(path)
+        join_operator_file(path, body, *SECTION_CORRUPTIONS[corruption](section, footer))
+        with pytest.raises(storage.StorageError):
+            storage.read_operator(path)
+        with pytest.raises(storage.StorageError):
+            storage.read_metadata(path)
+
+    def test_key_on_a_plain_operator_rejected(self, tmp_path, rng):
+        path = tmp_path / "op.rgn1"
+        _operator_file(path, rng)
+        body, section, footer = split_operator_file(path)
+        assert section == b""
+        join_operator_file(path, body, section, footer + "symmetries=1\n")
+        with pytest.raises(storage.StorageError):
+            storage.read_operator(path)
