@@ -226,7 +226,8 @@ class _BlockBasis:
         """Per block, (1/|H|) sum_t chi(t) x[t(i)] for each orbit's first index i."""
         if self.idx is None:
             return [x]
-        coords = (self.chars @ x[..., self.idx]) * self.inv_stab
+        coords = self.chars @ x[..., self.idx]
+        coords *= self.inv_stab
         return [coords[..., s, :] for s in range(len(self.chars))]
 
     def _scatter(self, parts) -> np.ndarray:

@@ -123,7 +123,7 @@ def _unpack(fmt: str, blob: memoryview, offset: int, path):
     return struct.unpack(fmt, blob[offset:end]), end
 
 
-def _f64(blob: memoryview, offset: int, count: int, path, dtype="<f8"):
+def _view(blob: memoryview, offset: int, count: int, path, dtype="<f8"):
     """A view of ``count`` f64 values (or of another 8-byte ``dtype``) in
     the file buffer; writable, no copy."""
     _need(blob, offset + 8 * count, path)
@@ -166,7 +166,6 @@ def _write_container(path, head: bytes, arrays, meta: dict | None):
 def write_operator(path, op: SvdOperator, meta: dict | None = None):
     meta = dict(meta or {})
     meta.setdefault("rank_tol", repr(op.rank_tol))
-    meta.pop(_SYMMETRY_KEY, None)
     head = _MAGIC_ARRAY + struct.pack("<IQQ", _VERSION_OPERATOR, op.rows, op.cols)
     arrays = [op.matrix, op.singular_values, op.image_vectors, op.data_vectors]
     if op.symmetries:
@@ -180,10 +179,10 @@ def _decode_operator(blob: memoryview, path):
     if version != _VERSION_OPERATOR:
         raise StorageError(f"{path}: expected an operator file (version 1), got version {version}")
     k = min(rows, cols)
-    matrix, off = _f64(blob, off, rows * cols, path)
-    sigma, off = _f64(blob, off, k, path)
-    u, off = _f64(blob, off, cols * k, path)
-    v, off = _f64(blob, off, rows * k, path)
+    matrix, off = _view(blob, off, rows * cols, path)
+    sigma, off = _view(blob, off, k, path)
+    u, off = _view(blob, off, cols * k, path)
+    v, off = _view(blob, off, rows * k, path)
     start = _footer_start(blob, path)
     meta = _read_footer(blob, start, path)
     symmetries, characters = [], None
@@ -192,11 +191,11 @@ def _decode_operator(blob: memoryview, path):
         if not (count.isascii() and count.isdigit() and int(count) >= 1):
             raise StorageError(f"{path}: {_SYMMETRY_KEY}={count!r} is not a positive generator count")
         for _ in range(int(count)):
-            row_perm, off = _f64(blob, off, rows, path, "<u8")
-            col_perm, off = _f64(blob, off, cols, path, "<u8")
+            row_perm, off = _view(blob, off, rows, path, "<u8")
+            col_perm, off = _view(blob, off, cols, path, "<u8")
             # as index arrays; an entry of 2^63 or more turns negative, so it is no permutation
             symmetries.append((row_perm.astype(np.intp), col_perm.astype(np.intp)))
-        characters, off = _f64(blob, off, k, path, "<u8")
+        characters, off = _view(blob, off, k, path, "<u8")
     if off != start:
         raise StorageError(f"{path}: the payload ends at byte {off}, the metadata footer begins at byte {start}")
     op = SvdOperator(
@@ -228,7 +227,7 @@ def _decode_array(blob: memoryview, path):
     (version, rows, cols), off = _read_header(blob, _MAGIC_ARRAY, "<IQQ", path)
     if version != _VERSION_ARRAY:
         raise StorageError(f"{path}: expected an array file (version 2), got version {version}")
-    data, off = _f64(blob, off, rows * cols, path)
+    data, off = _view(blob, off, rows * cols, path)
     return data.reshape(rows, cols), _read_footer(blob, off, path)
 
 
@@ -254,8 +253,8 @@ def _decode_model(blob: memoryview, path):
         raise StorageError(f"{path}: {exc}") from exc
     layers = []
     for cin, cout in zip(arch.channels[:-1], arch.channels[1:]):
-        w, off = _f64(blob, off, cout * cin * 9, path)
-        b, off = _f64(blob, off, cout, path)
+        w, off = _view(blob, off, cout * cin * 9, path)
+        b, off = _view(blob, off, cout, path)
         layers.append((w.reshape(cout, cin, 3, 3), b))
     return NetworkParams(arch=arch, layers=layers, seed=int(seed)), _read_footer(blob, off, path)
 
