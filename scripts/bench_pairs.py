@@ -3,8 +3,8 @@
 
     scripts/bench_pairs.py <rev> <pairs> <first_seed> [<record.json>]
 
-The revision is checked out with `git worktree add --detach` into a
-temporary directory that is removed on exit.  For each workload of
+The revision's files are exported with `git archive` into a temporary
+directory that is removed on exit.  For each workload of
 BENCHMARK.json, pair i runs
 
     python3 pipebench/run.py --workload <w> --seed <first_seed + i> --seconds <run_seconds> --trace 0
@@ -185,16 +185,14 @@ def main(argv) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     this = {"sha": git("rev-parse", "HEAD"), "uncommitted": git("status", "--porcelain").splitlines()}
 
-    # a signal ends the run through the finally below, which removes the worktree
+    # a signal ends the run through the with below, which removes the export
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(130))
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp) / "rev"
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet", "--detach", str(base), rev_sha], check=True)
-        try:
-            ok, workloads = compare(bench, base, pairs, first_seed)
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(base)], capture_output=True)
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], capture_output=True)
+        base.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev_sha], capture_output=True, check=True)
+        subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
+        ok, workloads = compare(bench, base, pairs, first_seed)
     if out is not None:
         record = {
             "rev": {"name": rev, "sha": rev_sha},

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Check that this tree writes the same pipeline outputs as a git revision.
-# The revision is checked out with `git worktree add --detach` into a
-# temporary directory that is removed on exit.  For each workload of
+# The revision's files are exported with `git archive` into a temporary
+# directory that is removed on exit.  For each workload of
 # pipebench/workloads.py (imported from this tree, read-only), both trees
 # write run.cfg at seed 3 and run the eight STAGES with
 # OPENBLAS_NUM_THREADS=1; then the output directories are compared with
@@ -24,14 +24,10 @@ if ! rev=$(git -C "$root" rev-parse --verify --quiet "$1^{commit}"); then
     exit 2
 fi
 tmp=$(mktemp -d)
-cleanup() {
-    git -C "$root" worktree remove --force "$tmp/rev" >/dev/null 2>&1 || true
-    rm -rf "$tmp"
-    git -C "$root" worktree prune
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
 trap 'exit 130' HUP INT TERM
-git -C "$root" worktree add --quiet --detach "$tmp/rev" "$rev"
+mkdir "$tmp/rev"
+git -C "$root" archive "$rev" | tar -x -C "$tmp/rev"
 
 python3 - "$root" "$tmp/rev" "$tmp" <<'PY'
 import os

@@ -25,13 +25,16 @@ space for each of the 2^m characters chi.  So A is block diagonal in the
 orbit bases e = sum_t chi(t) e_{t(i)} / sqrt(|G| |H|), one basis vector per
 index orbit whose stabiliser H lies in the kernel of chi.  Each block is
 about 1/|G| of A on each side and is factored by its own SVD, which costs
-about 1/|G|^3 of the whole; the block singular vectors are scattered back
-to full length.  The merged system is sorted by a stable descending sort
-of sigma over the blocks taken in character order (chi_s(t) =
-(-1)^popcount(s & t)), so tied singular values keep that order.  When
-blocks of both shapes supply fewer than min(rows, cols) singular pairs
-(the zero pairs they lack come from no thin block SVD), the whole matrix
-is factored as the one block instead, as it is with no symmetries.
+about 1/|G|^3 of the whole.  Each block's singular vectors are placed, as
+soon as it is factored, in orbit coordinates: one row per orbit, about
+1/|G| of U or V.  The merged system is sorted there by a stable
+descending sort of sigma over the blocks taken in character order
+(chi_s(t) = (-1)^popcount(s & t)), so tied singular values keep that
+order, its signs are fixed there, and each side is expanded to full
+length once.  When blocks of both shapes supply fewer than min(rows,
+cols) singular pairs (the zero pairs they lack come from no thin block
+SVD), the whole matrix is factored as the one block instead, as it is
+with no symmetries.
 
 The operator records the group it was factored with: the generator pairs
 and the character of each stored pair (the trivial group and character 0
@@ -276,9 +279,12 @@ def svd_decompose(matrix, rank_tol: float = 1e-10, symmetries=()) -> SvdOperator
     ``matrix`` itself, not a copy, when it is already a C-ordered float
     array.
 
-    Signs are canonicalized (largest-magnitude entry of each u_n made
-    positive, v_n flipped along) so repeated runs produce identical
-    stored systems.
+    Signs are canonicalized (largest-magnitude entry of each u_n, the
+    first one on ties, made positive, v_n flipped along) so repeated runs
+    produce identical stored systems.  Both the order and the signs are
+    settled in orbit coordinates, before U and V are expanded to full
+    length; an entry on an orbit that a pair's character drops is a zero
+    carrying the pair's sign flip.
 
     Raises
     ------
@@ -299,32 +305,46 @@ def svd_decompose(matrix, rank_tol: float = 1e-10, symmetries=()) -> SvdOperator
 
     rows, cols = matrix.shape
     row_perms, col_perms = _symmetry_group(matrix, symmetries)
-    blocks = _blocks(row_perms, col_perms, _characters(len(symmetries)))
+    chars = _characters(len(symmetries))
+    blocks = _blocks(row_perms, col_perms, chars)
     k = min(rows, cols)
     if sum(min(r.shape[1], c.shape[1]) for _, r, _, c, _ in blocks) < k:
         # blocks of both shapes: no thin block SVD returns the zero pairs they lack
-        blocks = _blocks(row_perms[:1], col_perms[:1], _characters(0))
-    u = np.zeros((cols, k))  # an orbit a block drops is zero in its columns
-    v = np.zeros((rows, k))
+        row_perms, col_perms, chars = row_perms[:1], col_perms[:1], _characters(0)
+        blocks = _blocks(row_perms, col_perms, chars)
+    col_reps = _orbit_basis(col_perms, chars[0])[0][0]
+    row_reps = _orbit_basis(row_perms, chars[0])[0][0]
+    # the singular vectors in orbit coordinates, one row per orbit; an
+    # orbit a block drops is zero in its columns
+    u = np.zeros((col_reps.size, k))
+    v = np.zeros((row_reps.size, k))
     sigma = np.zeros(k)
     characters = np.zeros(k, dtype=np.intp)
     pos = 0
     for s_chi, (chi, row_idx, row_stab, col_idx, col_stab) in enumerate(blocks):
         block = _gather_block(matrix, chi, row_idx, row_stab, col_idx, col_stab)
-        # the transposed block, so that u comes out (cols, k) and row-major
+        # the transposed block, so that w comes out (orbits, pairs) and row-major
         w, s, zt = np.linalg.svd(block.T, full_matrices=False)
         del block
         sigma[pos : pos + s.size] = s
         characters[pos : pos + s.size] = s_chi
-        _scatter(u, chi, col_idx, col_stab, w, pos)
-        _scatter(v, chi, row_idx, row_stab, zt.T, pos)
+        _place(u, col_reps, col_idx, col_stab, w, pos)
+        _place(v, row_reps, row_idx, row_stab, zt.T, pos)
         pos += s.size
 
     order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    _permute_columns(u, order)
-    _permute_columns(v, order)
-    _canonical_signs(u, v)
+    if np.any(order != np.arange(k)):  # one block comes out of LAPACK in order: no copy then
+        sigma, characters = sigma[order], characters[order]
+        u, v = np.take(u, order, axis=1), np.take(v, order, axis=1)
+    # the largest-magnitude entry of u_n, the first on ties, made positive:
+    # |u_n| is |u[O, n]| on orbit O, and orbits come in ascending order of
+    # their first index
+    pivot = np.argmax(np.abs(u), axis=0)
+    sign = np.where(u[pivot, np.arange(k)] < 0, -1.0, 1.0)
+    u *= sign
+    v *= sign
+    u = _unfold(u, col_perms, chars, characters)  # frees u's orbit coordinates before v's unfold
+    v = _unfold(v, row_perms, chars, characters)
     return SvdOperator(
         matrix=matrix,
         image_vectors=u,
@@ -332,7 +352,7 @@ def svd_decompose(matrix, rank_tol: float = 1e-10, symmetries=()) -> SvdOperator
         singular_values=sigma,
         rank_tol=float(rank_tol),
         symmetries=tuple(symmetries) if len(blocks) > 1 else (),
-        characters=characters[order],
+        characters=characters,
     )
 
 
@@ -340,8 +360,9 @@ def _symmetry_group(matrix, symmetries):
     """``_group_table`` of the pairs, each of which must also leave the
     matrix fixed."""
     row_perms, col_perms = _group_table(*matrix.shape, symmetries)
+    norm = np.linalg.norm(matrix) if symmetries else 0.0
     for n in range(len(symmetries)):
-        _check_invariant(matrix, row_perms[1 << n], col_perms[1 << n], n)
+        _check_invariant(matrix, row_perms[1 << n], col_perms[1 << n], n, norm)
     return row_perms, col_perms
 
 
@@ -377,16 +398,15 @@ def _group_table(rows: int, cols: int, symmetries):
     return row_perms, col_perms
 
 
-def _check_invariant(matrix, r, c, n: int):
-    """Require ``matrix[r][:, c] == matrix`` to 1e-12 relative (Frobenius
-    norm); the rows are compared a chunk at a time."""
+def _check_invariant(matrix, r, c, n: int, norm: float):
+    """Require ``matrix[r][:, c] == matrix`` to 1e-12 relative to ``norm``,
+    the matrix's Frobenius norm; the rows are compared a chunk at a time."""
     step = max(1, _CHUNK // matrix.shape[1])
     err = 0.0
     for i in range(0, matrix.shape[0], step):
         diff = np.take(matrix[r[i : i + step]], c, axis=1)
         diff -= matrix[i : i + step]
         err += float(np.einsum("ij,ij->", diff, diff))
-    norm = np.linalg.norm(matrix)
     if np.sqrt(err) > 1e-12 * norm:
         raise ValueError(f"symmetry {n} changes the matrix by {np.sqrt(err) / norm:.3g} relative")
 
@@ -438,30 +458,34 @@ def _gather_block(matrix, chi, row_idx, row_stab, col_idx, col_stab):
     return block
 
 
-def _scatter(out, chi, idx, stab, vecs, pos: int):
-    """Write block vectors back as full-length columns ``pos`` onwards of
-    ``out``: orbit coefficient c becomes chi(t) c sqrt(|H|/|G|) at each
-    index t(i) of its orbit."""
-    vecs = vecs * np.sqrt(stab / chi.size)[:, None]
-    neg = -vecs
-    for t in range(chi.size):
-        out[idx[t], pos : pos + vecs.shape[1]] = vecs if chi[t] > 0 else neg
+def _place(out, reps, idx, stab, vecs, pos: int):
+    """Write a block's vectors as columns ``pos`` onwards of the orbit
+    coordinates ``out``, whose rows are the orbits with first indices
+    ``reps``: orbit coefficient c becomes c sqrt(|H|/|G|), its value at
+    the orbit's first index."""
+    rows = np.searchsorted(reps, idx[0])
+    out[rows, pos : pos + vecs.shape[1]] = vecs * np.sqrt(stab / idx.shape[0])[:, None]
 
 
-def _permute_columns(a, order):
-    """``a[:, order]`` in place, a chunk of rows at a time."""
-    step = max(1, _CHUNK // a.shape[1])
-    for i in range(0, a.shape[0], step):
-        a[i : i + step] = a[i : i + step, order]
-
-
-def _canonical_signs(u, v):
-    """Flip each singular pair so that the largest-magnitude entry of u_n
-    (the first one, on ties) is positive; a chunk of columns at a time."""
-    step = max(1, _CHUNK // u.shape[0])
-    for j in range(0, u.shape[1], step):
-        cols = u[:, j : j + step]
-        pivot = np.argmax(np.abs(cols), axis=0)
-        sign = np.where(cols[pivot, np.arange(cols.shape[1])] < 0, -1.0, 1.0)
-        cols *= sign
-        v[:, j : j + step] *= sign
+def _unfold(vecs, perms, chars, characters):
+    """The full-length basis of orbit coordinates ``vecs``, one row per
+    orbit in ascending order of first index i_O: entry t(i_O) of column n
+    is chi(t) vecs[O, n] for the pair's character chi.  On an orbit that
+    chi drops, each entry is vecs[O, n] itself, a zero signed as the pair.
+    For the trivial group this is ``vecs``, not a copy."""
+    if perms.shape[0] == 1:
+        return vecs
+    idx = _orbit_basis(perms, chars[0])[0]
+    signs = chars[:, characters]  # chi(t) of each pair; the characters are symmetric
+    out = np.empty((perms.shape[1], vecs.shape[1]))
+    step = max(1, _CHUNK // vecs.shape[1])
+    for i in range(0, idx.shape[1], step):
+        part = vecs[i : i + step]
+        for t in range(idx.shape[0]):
+            out[idx[t, i : i + step]] = part * signs[t]
+    for s, chi in enumerate(chars):
+        dropped = np.flatnonzero(~np.isin(idx[0], _orbit_basis(perms, chi)[0][0]))
+        pairs = np.flatnonzero(characters == s)
+        for t in range(idx.shape[0]):
+            out[np.ix_(idx[t, dropped], pairs)] = vecs[np.ix_(dropped, pairs)]
+    return out

@@ -142,16 +142,28 @@ def _grid_centers(n: int) -> np.ndarray:
 
 def assemble_matrix(geom: RadonGeometry) -> np.ndarray:
     """Dense forward matrix; entry (row, i) is the line integral of blob i
-    along the row's line, i.e. kb_line_integral(s - <x_i, omega(theta)>)."""
+    along the row's line, i.e. kb_line_integral(s - <x_i, omega(theta)>).
+
+    Per angle, the offsets s with |s - <x_i, omega>| < kb_support form a
+    contiguous run of the sorted detector grid.  Each blob is evaluated only
+    on a window of equal width for every blob, placed to cover its run
+    widened by one detector on each side (so that rounding in the window's
+    bounds drops no entry); every entry outside the windows is zero.
+    """
     centers = geom.grid_centers()
     offsets = geom.detector_offsets()
-    a = np.empty((geom.rows, geom.cols))
+    n_d, support = geom.n_detectors, geom.kb_support
+    cols = np.arange(geom.cols)
+    a = np.zeros((geom.rows, geom.cols))
     for k, theta in enumerate(geom.angles()):
         omega = np.array([math.cos(theta), math.sin(theta)])
         proj = centers @ omega
-        dist = offsets[:, None] - proj[None, :]
-        a[k * geom.n_detectors : (k + 1) * geom.n_detectors] = kb_line_integral(
-            dist, geom.kb_support, geom.kb_shape
+        first = np.maximum(np.searchsorted(offsets, proj - support) - 1, 0)
+        end = np.minimum(np.searchsorted(offsets, proj + support, side="right") + 1, n_d)
+        width = int(np.max(end - first))
+        window = np.minimum(first, n_d - width) + np.arange(width)[:, None]
+        a[k * n_d : (k + 1) * n_d][window, cols] = kb_line_integral(
+            offsets[window] - proj, support, geom.kb_shape
         )
     return a
 

@@ -203,7 +203,7 @@ def _decode_operator(blob: memoryview, path):
         image_vectors=u.reshape(cols, k),
         data_vectors=v.reshape(rows, k),
         singular_values=sigma,
-        rank_tol=float(meta.get("rank_tol", 1e-10)),
+        rank_tol=_rank_tol(meta.get("rank_tol", "1e-10"), path),
     )
     if symmetries:  # checked apart, so that unordered singular values stay a numeric error
         try:
@@ -211,6 +211,19 @@ def _decode_operator(blob: memoryview, path):
         except ValueError as exc:
             raise StorageError(f"{path}: symmetry section: {exc}") from exc
     return op, meta
+
+
+def _rank_tol(text: str, path) -> float:
+    """The footer's ``rank_tol``, which must be a number in (0, 1) as
+    ``svd_decompose`` requires."""
+    message = f"{path}: rank_tol={text!r} is not a number in (0, 1)"
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise StorageError(message) from exc
+    if not 0.0 < value < 1.0:  # NaN fails this too
+        raise StorageError(message)
+    return value
 
 
 def read_operator(path) -> SvdOperator:

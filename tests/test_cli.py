@@ -295,6 +295,18 @@ class TestExitCodes:
         assert run("evaluate", "--config", "run.cfg") == 3
         assert snapshot(workspace) == before
 
+    @pytest.mark.parametrize("value", ["abc", "2", "nan", "inf", "-1"])
+    def test_io_error_rank_tol_outside_the_unit_interval(self, workspace, value):
+        run("assemble", "--config", "run.cfg")
+        run("phantoms", "--config", "run.cfg")
+        assert run("train", "--config", "run.cfg") == 0
+        path = workspace / "operator.rgn1"
+        body, section, footer = split_operator_file(path)
+        join_operator_file(path, body, section, footer.replace("rank_tol=1e-10", f"rank_tol={value}"))
+        before = snapshot(workspace)
+        assert run("evaluate", "--config", "run.cfg") == 3
+        assert snapshot(workspace) == before
+
     def test_io_error_empty_operator(self, workspace):
         run("phantoms", "--config", "run.cfg")
         (workspace / "operator.rgn1").write_bytes(b"")

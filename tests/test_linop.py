@@ -148,22 +148,35 @@ class TestSymmetryBlocks:
 
     @pytest.mark.parametrize("rows, cols", [(40, 25), (70_000, 9)])
     def test_vectorised_sign_rule_matches_the_column_loop(self, rng, rows, cols):
-        # ties in magnitude (the first index wins), zero columns and negative
-        # zeros; the second shape is done a few columns at a time
-        u = rng.integers(-3, 4, (rows, cols)).astype(float)
-        u[:, 3] = 0.0
-        u[:, 4] = -0.0
-        u[5, 6], u[9, 6] = -7.0, 7.0
-        v = rng.standard_normal((30, cols))
-        want_u, want_v = u.copy(), v.copy()
-        for n in range(u.shape[1]):
-            pivot = np.argmax(np.abs(want_u[:, n]))
-            if want_u[pivot, n] < 0:
-                want_u[:, n] = -want_u[:, n]
-                want_v[:, n] = -want_v[:, n]
-        linop._canonical_signs(u, v)
-        assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
-        assert np.array_equal(np.signbit(u), np.signbit(want_u))
+        # a matrix fixed by reversing its rows and its columns: each |u_n| is
+        # tied in pairs (the first index wins), and with an odd column count
+        # the antisymmetric pairs are zero at the middle column, a signed
+        # zero; the second shape's row blocks are 35,000 long
+        flip_rows, flip_cols = np.arange(rows)[::-1], np.arange(cols)[::-1]
+        m = rng.integers(-3, 4, (rows, cols)).astype(float)
+        m += m[flip_rows][:, flip_cols]
+        op = svd_decompose(m, symmetries=[(flip_rows, flip_cols)])
+        u, v = op.image_vectors, op.data_vectors
+        assert len(op.symmetries) == 1 and np.any(u[cols // 2] == 0.0)
+        # the pairs are fixed points of the column-loop rule, and the loop
+        # turns the negated pairs back into them bit for bit
+        for start in ((u, v), (-u, -v)):
+            got_u, got_v = _column_sign_rule(*start)
+            for got, want in ((got_u, u), (got_v, v)):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _column_sign_rule(u, v):
+    """Each pair flipped, one column at a time, so that the largest-magnitude
+    entry of u_n (the first one, on ties) is positive."""
+    u, v = u.copy(), v.copy()
+    for n in range(u.shape[1]):
+        pivot = np.argmax(np.abs(u[:, n]))
+        if u[pivot, n] < 0:
+            u[:, n] = -u[:, n]
+            v[:, n] = -v[:, n]
+    return u, v
 
 
 class TestPrefixRanks:
@@ -370,3 +383,49 @@ class TestBlockProducts:
                 SvdOperator(*parts, symmetries, characters)
         with pytest.raises(ValueError):
             op.synthesize(np.zeros(op.singular_values.size + 1))
+
+
+def _scatter_sort_sign(matrix, symmetries):
+    """The singular system by the full-length route: each block's vectors
+    scattered to full length as soon as it is factored, the columns put in
+    the stable descending order of sigma, then the column-loop sign rule."""
+    row_perms, col_perms = linop._symmetry_group(matrix, symmetries)
+    blocks = linop._blocks(row_perms, col_perms, linop._characters(len(symmetries)))
+    k = min(matrix.shape)
+    if sum(min(r.shape[1], c.shape[1]) for _, r, _, c, _ in blocks) < k:
+        blocks = linop._blocks(row_perms[:1], col_perms[:1], linop._characters(0))
+    u, v = np.zeros((matrix.shape[1], k)), np.zeros((matrix.shape[0], k))
+    sigma, characters = np.zeros(k), np.zeros(k, dtype=np.intp)
+    pos = 0
+    for s_chi, (chi, row_idx, row_stab, col_idx, col_stab) in enumerate(blocks):
+        block = linop._gather_block(matrix, chi, row_idx, row_stab, col_idx, col_stab)
+        w, s, zt = np.linalg.svd(block.T, full_matrices=False)
+        sigma[pos : pos + s.size] = s
+        characters[pos : pos + s.size] = s_chi
+        for out, idx, stab, vecs in ((u, col_idx, col_stab, w), (v, row_idx, row_stab, zt.T)):
+            vecs = vecs * np.sqrt(stab / chi.size)[:, None]
+            for t in range(chi.size):
+                out[idx[t], pos : pos + s.size] = vecs if chi[t] > 0 else -vecs
+        pos += s.size
+    order = np.argsort(-sigma, kind="stable")
+    u, v = _column_sign_rule(u[:, order], v[:, order])
+    return {"image_vectors": u, "data_vectors": v, "singular_values": sigma[order], "characters": characters[order]}
+
+
+class TestPlacement:
+    # FIXED_POINT_GEOMETRIES holds the SHORT_BLOCK_GEOMETRIES, which fall
+    # back to one block
+    @pytest.mark.parametrize("case", FIXED_POINT_GEOMETRIES + [EVEN_GEOMETRY, "tied", "random"])
+    def test_orbit_placement_matches_the_full_length_route(self, case):
+        if case == "tied":
+            matrix, symmetries = np.eye(40), [(np.arange(40) ^ 1, np.arange(40) ^ 1)]
+        elif case == "random":
+            matrix, symmetries = np.random.default_rng(5).standard_normal((15, 25)), ()
+        else:
+            geom = _geometry(case)
+            matrix, symmetries = radon.assemble_matrix(geom), geom.mirrors()
+        op = svd_decompose(matrix, symmetries=symmetries)
+        for name, want in _scatter_sort_sign(matrix, symmetries).items():
+            got = getattr(op, name)
+            assert np.array_equal(got, want), name
+            assert np.array_equal(np.signbit(got), np.signbit(want)), name

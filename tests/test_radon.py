@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import mpmath
@@ -195,6 +196,34 @@ class TestAssembly:
         with pytest.raises(ValueError):
             svd_decompose(a, symmetries=centred.mirrors())
 
+    @pytest.mark.parametrize(
+        "case, shape, interval, support, edge",
+        [
+            # dyadic centres and offsets: at angle 0 many offsets lie exactly
+            # kb_support from a centre, where the blob's integral is 0
+            ("support-exact", (5, 2, 13), (-1.5, 1.5), 0.25, True),
+            # offsets and centres on a 0.1 grid: their distances round to
+            # either side of kb_support = 0.1
+            ("support-rounded", (11, 3, 21), (-1.0, 1.0), 0.1, True),
+            ("off-centre", (8, 5, 9), (-0.3, 0.9), 0.055, False),
+            ("single-detector", (6, 4, 1), (0.0, 1.0), 0.3, False),
+            ("beyond-the-square", (7, 6, 25), (-3.0, 3.0), 0.2, False),
+            ("corner-only", (12, 5, 40), (1.2, 1.6), 0.055, False),
+            ("desk", (64, 15, 64), (-1.5, 1.5), 0.055, False),
+        ],
+    )
+    def test_banded_assembly_equals_the_dense_one(self, case, shape, interval, support, edge):
+        geom = RadonGeometry(
+            grid_n=shape[0], n_angles=shape[1], n_detectors=shape[2],
+            detector_min=interval[0], detector_max=interval[1], kb_support=support,
+        )
+        want, dist = _dense_assembly(geom)
+        got = radon.assemble_matrix(geom)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.any(want != 0.0)
+        if edge:
+            assert np.any(np.abs(np.abs(dist) - support) <= 1e-15 * support)
+
     def test_deterministic(self):
         geom = RadonGeometry(grid_n=6, n_angles=3, n_detectors=5)
         assert np.array_equal(radon.assemble_matrix(geom), radon.assemble_matrix(geom))
@@ -214,6 +243,16 @@ class TestAssembly:
     def test_desk_scale_dimensions(self):
         geom = RadonGeometry()
         assert (geom.rows, geom.cols) == (960, 4096)
+
+
+def _dense_assembly(geom):
+    """The forward matrix with every blob evaluated at every offset, one
+    angle at a time, and the distances it was evaluated at."""
+    centers, offsets = geom.grid_centers(), geom.detector_offsets()
+    dist = np.vstack(
+        [offsets[:, None] - (centers @ np.array([math.cos(t), math.sin(t)]))[None, :] for t in geom.angles()]
+    )
+    return radon.kb_line_integral(dist, geom.kb_support, geom.kb_shape), dist
 
 
 class TestPhantoms:

@@ -370,3 +370,18 @@ class TestSymmetrySection:
         join_operator_file(path, body, section, footer + "symmetries=1\n")
         with pytest.raises(storage.StorageError):
             storage.read_operator(path)
+
+
+class TestRankTolFooter:
+    @pytest.mark.parametrize("value", ["abc", "2", "nan", "inf", "-1"])
+    def test_rank_tol_outside_the_unit_interval_rejected(self, tmp_path, rng, value):
+        path = tmp_path / "op.rgn1"
+        storage.write_operator(path, svd_decompose(rng.standard_normal((7, 5))))
+        body, section, footer = split_operator_file(path)
+        assert "rank_tol=1e-10\n" in footer
+        join_operator_file(path, body, section, footer.replace("rank_tol=1e-10", "rank_tol=0.5"))
+        assert storage.read_operator(path).rank_tol == 0.5
+        join_operator_file(path, body, section, footer.replace("rank_tol=1e-10", f"rank_tol={value}"))
+        for read in (storage.read_operator, storage.read_metadata):
+            with pytest.raises(storage.StorageError, match="rank_tol"):
+                read(path)
