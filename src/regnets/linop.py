@@ -360,7 +360,7 @@ def _symmetry_group(matrix, symmetries):
     """``_group_table`` of the pairs, each of which must also leave the
     matrix fixed."""
     row_perms, col_perms = _group_table(*matrix.shape, symmetries)
-    norm = np.linalg.norm(matrix) if symmetries else 0.0
+    norm = np.linalg.norm(matrix) if len(symmetries) else 0.0
     for n in range(len(symmetries)):
         _check_invariant(matrix, row_perms[1 << n], col_perms[1 << n], n, norm)
     return row_perms, col_perms
@@ -400,13 +400,20 @@ def _group_table(rows: int, cols: int, symmetries):
 
 def _check_invariant(matrix, r, c, n: int, norm: float):
     """Require ``matrix[r][:, c] == matrix`` to 1e-12 relative to ``norm``,
-    the matrix's Frobenius norm; the rows are compared a chunk at a time."""
+    the matrix's Frobenius norm; the rows are compared a chunk at a time.
+
+    Row r(i) of the difference is minus row i with its columns permuted by
+    c, as r and c are involutions, so only the rows i <= r(i) are formed
+    and those with r(i) != i count twice."""
+    rows = np.flatnonzero(np.arange(r.size) <= r)
+    weight = np.where(r[rows] == rows, 1.0, 2.0)
     step = max(1, _CHUNK // matrix.shape[1])
     err = 0.0
-    for i in range(0, matrix.shape[0], step):
-        diff = np.take(matrix[r[i : i + step]], c, axis=1)
-        diff -= matrix[i : i + step]
-        err += float(np.einsum("ij,ij->", diff, diff))
+    for i in range(0, rows.size, step):
+        part = rows[i : i + step]
+        diff = np.take(matrix[r[part]], c, axis=1)
+        diff -= matrix[part]
+        err += float(weight[i : i + step] @ np.einsum("ij,ij->i", diff, diff))
     if np.sqrt(err) > 1e-12 * norm:
         raise ValueError(f"symmetry {n} changes the matrix by {np.sqrt(err) / norm:.3g} relative")
 
@@ -481,7 +488,8 @@ def _unfold(vecs, perms, chars, characters):
     step = max(1, _CHUNK // vecs.shape[1])
     for i in range(0, idx.shape[1], step):
         part = vecs[i : i + step]
-        for t in range(idx.shape[0]):
+        out[idx[0, i : i + step]] = part  # the identity, where every chi is 1
+        for t in range(1, idx.shape[0]):
             out[idx[t, i : i + step]] = part * signs[t]
     for s, chi in enumerate(chars):
         dropped = np.flatnonzero(~np.isin(idx[0], _orbit_basis(perms, chi)[0][0]))

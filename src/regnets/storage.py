@@ -15,10 +15,10 @@ permutation (cols), then the character of each stored pair (k values
 below 2^m).  Each generator must be a commuting involution new to the
 group, and m lies in 1..8; the section is not checked against the
 matrix.  An operator without symmetries has neither the key nor the
-section.  Version 2 is a plain array file
-holding only the matrix block (used for phantom and sinogram sets, one
-item per row).  Model files use magic 'RGNN' and hold exactly what
-``NetworkArch`` holds:
+section.  The footer's ``rank_tol`` must be a number in (0, 1).  Version 2
+is a plain array file holding only the matrix block (used for phantom and
+sinogram sets, one item per row).  Model files use magic 'RGNN' and hold
+exactly what ``NetworkArch`` holds:
 
     magic 'RGNN' | u32 version=2 | u64 grid | i64 seed | u32 n_hidden
     | n_hidden x u32 hidden widths | per-layer f64 arrays

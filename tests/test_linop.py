@@ -129,6 +129,21 @@ class TestSymmetryBlocks:
         with pytest.raises(ValueError, match="changes the matrix"):
             svd_decompose(a, symmetries=[(np.arange(geom.rows), x_cols)])
 
+    @pytest.mark.parametrize("entry", [(2, 0), (0, 1)])
+    @pytest.mark.parametrize("factor, rejected", [(0.99, False), (1.01, True)])
+    def test_invariance_bound_on_fixed_and_paired_rows(self, rng, entry, factor, rejected):
+        # row 2 is fixed by the row flip and row 0 is paired with row 4; a
+        # change d of one entry changes m[r][:, c] - m by d at two entries
+        flip_rows, flip_cols = np.arange(5)[::-1], np.arange(4)[::-1]
+        m = rng.integers(-3, 4, (5, 4)).astype(float)
+        m += m[flip_rows][:, flip_cols]
+        m[entry] += factor * 1e-12 * np.linalg.norm(m) / np.sqrt(2.0)
+        if rejected:
+            with pytest.raises(ValueError, match="changes the matrix"):
+                svd_decompose(m, symmetries=[(flip_rows, flip_cols)])
+        else:
+            svd_decompose(m, symmetries=[(flip_rows, flip_cols)])
+
     def test_malformed_pairs_rejected(self):
         geom = _geometry((4, 2, 4))
         a = radon.assemble_matrix(geom)
