@@ -13,8 +13,12 @@ once in each tree, from that tree's root; the revision runs first in
 even pairs and this tree first in odd ones.  BENCHMARK.json and
 pipebench/ are only read.  For each end-to-end metric the script prints
 the revision's and this tree's medians, the interquartile range of the
-revision's runs, the pairs this tree won and whether this tree's median
-is within the metric's bound (a relative worsening of at most `bound`).
+revision's runs, the median and interquartile range of the per-pair
+differences (this tree's value minus the revision's; drift that moves
+both trees alike over the pairs cancels in them, where it widens the
+revision's interquartile range), the pairs this tree won and whether
+this tree's median is within the metric's bound (a relative worsening
+of at most `bound`).
 After the pairs of a workload, each tree also makes one
 
     python3 pipebench/run.py --workload <w> --seed <first_seed> --seconds <run_seconds> --trace 1
@@ -24,7 +28,8 @@ of BENCHMARK.json.  These single runs carry no verdict.
 
 With a fourth argument the script also writes there, as JSON, every
 run's value (null for a failed run), the two medians, the revision's
-interquartile range, the wins and the verdict of each metric on each
+interquartile range, the per-pair differences' median and interquartile
+range, the wins and the verdict of each metric on each
 workload, each tree's per-layer values under `per_layer` (null for a
 failed run), with both trees' git shas, this tree's uncommitted changes
 when the runs began (`git status --porcelain`), `os.cpu_count()` and
@@ -111,7 +116,10 @@ def compare(bench: dict, base: Path, pairs: int, first_seed: int) -> tuple[bool,
         complete = [k for k in range(pairs) if runs["rev"][k] is not None and runs["this"][k] is not None]
         record[workload] = {"complete_pairs": len(complete), "metrics": {}}
         print(f"{workload}: {len(complete)} of {pairs} pairs complete, seeds {first_seed}-{first_seed + pairs - 1}")
-        print(f"  {'metric':<14}{'rev median':>12}{'this median':>13}{'rev IQR':>10}{'wins':>7}{'bound':>7}  verdict")
+        print(
+            f"  {'metric':<14}{'rev median':>12}{'this median':>13}{'rev IQR':>10}"
+            f"{'diff median':>13}{'diff IQR':>10}{'wins':>7}{'bound':>7}  verdict"
+        )
         for metric in bench["end_to_end"]:
             name, lower = metric["name"], metric["better"] == "lower"
             entry = record[workload]["metrics"][name] = {
@@ -119,7 +127,7 @@ def compare(bench: dict, base: Path, pairs: int, first_seed: int) -> tuple[bool,
                 **{side: [r[name]["value"] if r else None for r in runs[side]] for side in runs},
             }
             if not complete:
-                print(f"  {name:<14}{'no complete pair':>42}  FAIL")
+                print(f"  {name:<14}{'no complete pair':>65}  FAIL")
                 entry["verdict"] = "FAIL"
                 ok = False
                 continue
@@ -127,15 +135,18 @@ def compare(bench: dict, base: Path, pairs: int, first_seed: int) -> tuple[bool,
             this = [runs["this"][k][name]["value"] for k in complete]
             wins = sum((b < a) if lower else (b > a) for a, b in zip(rev, this))
             rev_med, this_med = statistics.median(rev), statistics.median(this)
+            diffs = [b - a for a, b in zip(rev, this)]
+            diff_med = statistics.median(diffs)
             limit = rev_med * (1 + metric["bound"]) if lower else rev_med * (1 - metric["bound"])
             within = this_med <= limit if lower else this_med >= limit
             ok &= within
             entry.update(
-                rev_median=rev_med, this_median=this_med, rev_iqr=iqr(rev), wins=wins,
+                rev_median=rev_med, this_median=this_med, rev_iqr=iqr(rev),
+                diff_median=diff_med, diff_iqr=iqr(diffs), wins=wins,
                 verdict="ok" if within else "WORSE",
             )
             print(
-                f"  {name:<14}{rev_med:>12.4g}{this_med:>13.4g}{iqr(rev):>10.3g}"
+                f"  {name:<14}{rev_med:>12.4g}{this_med:>13.4g}{iqr(rev):>10.3g}{diff_med:>+13.3g}{iqr(diffs):>10.3g}"
                 f"{f'{wins}/{len(complete)}':>7}{metric['bound']:>7.0%}  {entry['verdict']}"
             )
         traced = {}

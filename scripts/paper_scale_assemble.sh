@@ -1,9 +1,12 @@
 #!/bin/sh
 # Assemble and factor the paper-scale operator (128 x 128 grid, 30 angles x
 # 200 offsets, a 6000 x 16384 matrix) under a ~6 GB address-space cap, and
-# print the stage's exit code, wall time and peak RSS.  The geometry is set
-# by its keys in a paper.cfg written beside the operator.  Not part of the
-# test suite; it takes tens of seconds and writes a 1.9 GB operator file.
+# print the stage's exit code, wall time and peak RSS, then, outside the
+# timed part, the sha256 of the operator file, so that one run per source
+# tree compares two trees' operators without keeping either.  The geometry
+# is set by its keys in a paper.cfg written beside the operator.  Not part
+# of the test suite; it takes tens of seconds and writes a 1.9 GB operator
+# file.
 #
 #   scripts/paper_scale_assemble.sh [out_dir]
 #
@@ -41,3 +44,4 @@ finally:
 sys.exit(code)
 PY
 )
+echo "paper-scale operator: sha256 $(sha256sum operator.rgn1 | cut -d ' ' -f 1)"

@@ -23,7 +23,10 @@ flips of ``RadonGeometry.mirrors``).  They generate a group G = (Z/2)^m,
 and A maps the chi-isotypic part of coefficient space into that of data
 space for each of the 2^m characters chi.  So A is block diagonal in the
 orbit bases e = sum_t chi(t) e_{t(i)} / sqrt(|G| |H|), one basis vector per
-index orbit whose stabiliser H lies in the kernel of chi.  Each block is
+index orbit whose stabiliser H lies in the kernel of chi.  The orbits of
+each side, with their first indices and stabilisers and the characters
+that keep each, are worked out in one place, the table ``_Orbits``; the
+block SVD, its unfold and the block products all read it.  Each block is
 about 1/|G| of A on each side and is factored by its own SVD, which costs
 about 1/|G|^3 of the whole.  Each block's singular vectors are placed, as
 soon as it is factored, in orbit coordinates: one row per orbit, about
@@ -150,11 +153,11 @@ class SvdOperator:
 
     @cached_property
     def _image_blocks(self) -> "_BlockBasis":
-        return _BlockBasis(self.image_vectors, self._group[1], self.characters)
+        return _BlockBasis(self.image_vectors, _Orbits(self._group[1]), self.characters)
 
     @cached_property
     def _data_blocks(self) -> "_BlockBasis":
-        return _BlockBasis(self.data_vectors, self._group[0], self.characters)
+        return _BlockBasis(self.data_vectors, _Orbits(self._group[0]), self.characters)
 
     def image_coefficients(self, x, r: int) -> np.ndarray:
         """<u_n, x> for n < r, for one coefficient vector or a (count, cols)
@@ -209,19 +212,18 @@ class _BlockBasis:
     module docstring describes.
     """
 
-    def __init__(self, basis, perms, characters):
+    def __init__(self, basis, orbits, characters):
         self.size, self.count = basis.shape
-        if perms.shape[0] == 1:
+        if orbits.idx.shape[0] == 1:
             self.idx = None
             self.blocks = [basis]
             self.pairs = [np.arange(basis.shape[1])]
             return
-        chars = _characters(perms.shape[0].bit_length() - 1)
-        self.chars = chars
-        self.idx, stab = _orbit_basis(perms, chars[0])  # every orbit
-        self.inv_stab = 1.0 / stab
+        self.chars = orbits.chars
+        self.idx = orbits.idx
+        self.inv_stab = 1.0 / orbits.stab
         order = np.argsort(characters, kind="stable")
-        bounds = np.cumsum(np.bincount(characters, minlength=len(chars)))[:-1]
+        bounds = np.cumsum(np.bincount(characters, minlength=len(self.chars)))[:-1]
         self.blocks = np.split(np.take(basis[self.idx[0]], order, axis=1), bounds, axis=1)
         self.pairs = np.split(order, bounds)
 
@@ -303,33 +305,32 @@ def svd_decompose(matrix, rank_tol: float = 1e-10, symmetries=()) -> SvdOperator
     if not (0.0 < rank_tol < 1.0):
         raise ValueError(f"rank_tol must lie in (0, 1), got {rank_tol}")
 
-    rows, cols = matrix.shape
     row_perms, col_perms = _symmetry_group(matrix, symmetries)
-    chars = _characters(len(symmetries))
-    blocks = _blocks(row_perms, col_perms, chars)
-    k = min(rows, cols)
-    if sum(min(r.shape[1], c.shape[1]) for _, r, _, c, _ in blocks) < k:
+    row_orbits, col_orbits = _Orbits(row_perms), _Orbits(col_perms)
+    k = min(matrix.shape)
+    if np.minimum(row_orbits.keep.sum(axis=1), col_orbits.keep.sum(axis=1)).sum() < k:
         # blocks of both shapes: no thin block SVD returns the zero pairs they lack
-        row_perms, col_perms, chars = row_perms[:1], col_perms[:1], _characters(0)
-        blocks = _blocks(row_perms, col_perms, chars)
-    col_reps = _orbit_basis(col_perms, chars[0])[0][0]
-    row_reps = _orbit_basis(row_perms, chars[0])[0][0]
+        row_orbits, col_orbits = _Orbits(row_perms[:1]), _Orbits(col_perms[:1])
     # the singular vectors in orbit coordinates, one row per orbit; an
     # orbit a block drops is zero in its columns
-    u = np.zeros((col_reps.size, k))
-    v = np.zeros((row_reps.size, k))
+    u = np.zeros((col_orbits.idx.shape[1], k))
+    v = np.zeros((row_orbits.idx.shape[1], k))
     sigma = np.zeros(k)
     characters = np.zeros(k, dtype=np.intp)
     pos = 0
-    for s_chi, (chi, row_idx, row_stab, col_idx, col_stab) in enumerate(blocks):
-        block = _gather_block(matrix, chi, row_idx, row_stab, col_idx, col_stab)
+    for s_chi in range(len(col_orbits.chars)):
+        block = _gather_block(matrix, s_chi, row_orbits, col_orbits)
         # the transposed block, so that w comes out (orbits, pairs) and row-major
         w, s, zt = np.linalg.svd(block.T, full_matrices=False)
         del block
-        sigma[pos : pos + s.size] = s
-        characters[pos : pos + s.size] = s_chi
-        _place(u, col_reps, col_idx, col_stab, w, pos)
-        _place(v, row_reps, row_idx, row_stab, zt.T, pos)
+        pairs = slice(pos, pos + s.size)
+        sigma[pairs] = s
+        characters[pairs] = s_chi
+        # orbit coefficient c becomes c sqrt(|H|/|G|), its value at the orbit's first index
+        keep = col_orbits.keep[s_chi]
+        u[keep, pairs] = w * np.sqrt(col_orbits.stab[keep] / len(col_orbits.chars))[:, None]
+        keep = row_orbits.keep[s_chi]
+        v[keep, pairs] = zt.T * np.sqrt(row_orbits.stab[keep] / len(row_orbits.chars))[:, None]
         pos += s.size
 
     order = np.argsort(-sigma, kind="stable")
@@ -343,15 +344,15 @@ def svd_decompose(matrix, rank_tol: float = 1e-10, symmetries=()) -> SvdOperator
     sign = np.where(u[pivot, np.arange(k)] < 0, -1.0, 1.0)
     u *= sign
     v *= sign
-    u = _unfold(u, col_perms, chars, characters)  # frees u's orbit coordinates before v's unfold
-    v = _unfold(v, row_perms, chars, characters)
+    u = _unfold(u, col_orbits, characters)  # frees u's orbit coordinates before v's unfold
+    v = _unfold(v, row_orbits, characters)
     return SvdOperator(
         matrix=matrix,
         image_vectors=u,
         data_vectors=v,
         singular_values=sigma,
         rank_tol=float(rank_tol),
-        symmetries=tuple(symmetries) if len(blocks) > 1 else (),
+        symmetries=tuple(symmetries) if len(col_orbits.chars) > 1 else (),
         characters=characters,
     )
 
@@ -423,76 +424,67 @@ def _characters(m: int) -> np.ndarray:
     return np.array([[(-1.0) ** bin(s & b).count("1") for b in range(1 << m)] for s in range(1 << m)])
 
 
-def _orbit_basis(perms, chi):
-    """The orbits of one index set that carry character ``chi``.
+class _Orbits:
+    """The index orbits of one side under the group, the one place they are
+    worked out.
 
-    Returns the image of each orbit's smallest index under every group
-    element, shape ``(|G|, orbits)``, and each orbit's stabiliser size.  An
-    orbit whose stabiliser contains an element with chi = -1 has no
-    chi-component and is dropped.
+    Built from one side's ``_group_table`` rows.  ``chars`` are the
+    characters of the group (``_characters``), ``size`` the length of the
+    index set, ``idx`` the image of each orbit's first index under every
+    group element, shape ``(|G|, orbits)`` with the orbits in ascending
+    order of first index, ``stab`` each orbit's stabiliser size, and
+    ``keep`` (characters x orbits) whether a character has a component on
+    an orbit: it does unless an element of the stabiliser has chi = -1.
     """
-    size = perms.shape[1]
-    reps = np.flatnonzero(perms.min(axis=0) == np.arange(size))
-    fixed = perms[:, reps] == reps
-    keep = ~np.any(fixed & (chi < 0)[:, None], axis=0)
-    return perms[:, reps[keep]], np.count_nonzero(fixed[:, keep], axis=0)
+
+    def __init__(self, perms):
+        self.size = perms.shape[1]
+        self.chars = _characters(perms.shape[0].bit_length() - 1)
+        reps = np.flatnonzero(perms.min(axis=0) == np.arange(self.size))
+        self.idx = perms[:, reps]
+        fixed = self.idx == reps
+        self.stab = np.count_nonzero(fixed, axis=0)
+        self.keep = ~np.any(fixed & (self.chars < 0)[:, :, None], axis=1)
 
 
-def _blocks(row_perms, col_perms, chars):
-    """``(chi, row_idx, row_stab, col_idx, col_stab)`` for each character."""
-    return [(chi, *_orbit_basis(row_perms, chi), *_orbit_basis(col_perms, chi)) for chi in chars]
-
-
-def _gather_block(matrix, chi, row_idx, row_stab, col_idx, col_stab):
-    """The chi-block of the matrix in the orbit bases, without a dense basis.
-
-    The basis vector of orbit O is sum_t chi(t) e_{t(i)} / sqrt(|G| |H|) on
-    either side.  A maps the chi-part of coefficient space into that of
-    data space, where the row basis vector of an orbit with first index i
-    reads y as sqrt(|G| / |H|) y_i.  So the block needs only the orbits'
-    first rows: one row gather, then a signed sum of |G| column gathers,
-    weighted 1 / sqrt(|H_row| |H_col|).
-    """
-    block = np.zeros((row_idx.shape[1], col_idx.shape[1]))
+def _gather_block(matrix, s: int, row_orbits, col_orbits):
+    """The block of character s in the orbit bases, without a dense basis:
+    one row gather at the first indices of the row orbits s keeps, then a
+    signed sum of |G| column gathers, weighted 1 / sqrt(|H_row| |H_col|)."""
+    chi = col_orbits.chars[s]
+    row_keep, col_keep = row_orbits.keep[s], col_orbits.keep[s]
+    row_first, col_idx = row_orbits.idx[0, row_keep], col_orbits.idx[:, col_keep]
+    block = np.zeros((row_first.size, col_idx.shape[1]))
     step = max(1, _CHUNK // matrix.shape[1])
     for i in range(0, block.shape[0], step):
-        rows = matrix[row_idx[0, i : i + step]]
+        rows = matrix[row_first[i : i + step]]
         part = block[i : i + step]
         for t, sign in enumerate(chi):
             (np.add if sign > 0 else np.subtract)(part, np.take(rows, col_idx[t], axis=1), out=part)
-    block *= 1.0 / np.sqrt(row_stab)[:, None]
-    block *= 1.0 / np.sqrt(col_stab)
+    block *= 1.0 / np.sqrt(row_orbits.stab[row_keep])[:, None]
+    block *= 1.0 / np.sqrt(col_orbits.stab[col_keep])
     return block
 
 
-def _place(out, reps, idx, stab, vecs, pos: int):
-    """Write a block's vectors as columns ``pos`` onwards of the orbit
-    coordinates ``out``, whose rows are the orbits with first indices
-    ``reps``: orbit coefficient c becomes c sqrt(|H|/|G|), its value at
-    the orbit's first index."""
-    rows = np.searchsorted(reps, idx[0])
-    out[rows, pos : pos + vecs.shape[1]] = vecs * np.sqrt(stab / idx.shape[0])[:, None]
-
-
-def _unfold(vecs, perms, chars, characters):
+def _unfold(vecs, orbits, characters):
     """The full-length basis of orbit coordinates ``vecs``, one row per
-    orbit in ascending order of first index i_O: entry t(i_O) of column n
-    is chi(t) vecs[O, n] for the pair's character chi.  On an orbit that
-    chi drops, each entry is vecs[O, n] itself, a zero signed as the pair.
-    For the trivial group this is ``vecs``, not a copy."""
-    if perms.shape[0] == 1:
+    orbit of ``orbits``: entry t(i_O) of column n is chi(t) vecs[O, n] for
+    the pair's character chi.  On an orbit that chi drops, each entry is
+    vecs[O, n] itself, a zero signed as the pair.  For the trivial group
+    this is ``vecs``, not a copy."""
+    idx = orbits.idx
+    if idx.shape[0] == 1:
         return vecs
-    idx = _orbit_basis(perms, chars[0])[0]
-    signs = chars[:, characters]  # chi(t) of each pair; the characters are symmetric
-    out = np.empty((perms.shape[1], vecs.shape[1]))
+    signs = orbits.chars[:, characters]  # chi(t) of each pair; the characters are symmetric
+    out = np.empty((orbits.size, vecs.shape[1]))
     step = max(1, _CHUNK // vecs.shape[1])
     for i in range(0, idx.shape[1], step):
         part = vecs[i : i + step]
         out[idx[0, i : i + step]] = part  # the identity, where every chi is 1
         for t in range(1, idx.shape[0]):
             out[idx[t, i : i + step]] = part * signs[t]
-    for s, chi in enumerate(chars):
-        dropped = np.flatnonzero(~np.isin(idx[0], _orbit_basis(perms, chi)[0][0]))
+    for s, keep in enumerate(orbits.keep):
+        dropped = np.flatnonzero(~keep)
         pairs = np.flatnonzero(characters == s)
         for t in range(idx.shape[0]):
             out[np.ix_(idx[t, dropped], pairs)] = vecs[np.ix_(dropped, pairs)]

@@ -64,6 +64,8 @@ class TestDecompose:
 # than min(rows, cols) singular pairs
 FIXED_POINT_GEOMETRIES = [(5, 4, 7), (6, 5, 8), (16, 5, 16), (3, 2, 5)]
 SHORT_BLOCK_GEOMETRIES = [(6, 5, 8), (3, 2, 5)]
+# an even grid whose blocks are all used: 4 characters on both sides
+EVEN_GEOMETRY = (10, 6, 12)
 
 
 def _geometry(shape):
@@ -95,8 +97,8 @@ class TestSymmetryBlocks:
         geom = _geometry(shape)
         a = radon.assemble_matrix(geom)
         row_perms, col_perms = linop._symmetry_group(a, geom.mirrors())
-        blocks = linop._blocks(row_perms, col_perms, linop._characters(2))
-        assert sum(min(r.shape[1], c.shape[1]) for _, r, _, c, _ in blocks) < min(a.shape)
+        rows, cols = (linop._Orbits(perms).keep.sum(axis=1) for perms in (row_perms, col_perms))
+        assert np.minimum(rows, cols).sum() < min(a.shape)
         dense = svd_decompose(a)
         blocks = svd_decompose(a, symmetries=geom.mirrors())
         for name in ("singular_values", "image_vectors", "data_vectors"):
@@ -105,12 +107,29 @@ class TestSymmetryBlocks:
     @pytest.mark.parametrize("shape", FIXED_POINT_GEOMETRIES + [(8, 6, 10)])
     def test_block_sizes_sum_to_the_matrix(self, shape):
         geom = _geometry(shape)
-        row_perms, col_perms = linop._symmetry_group(radon.assemble_matrix(geom), geom.mirrors())
-        chars = linop._characters(2)
-        assert chars.shape == (4, 4)
-        rows = [linop._orbit_basis(row_perms, chi)[0].shape[1] for chi in chars]
-        cols = [linop._orbit_basis(col_perms, chi)[0].shape[1] for chi in chars]
-        assert sum(rows) == geom.rows and sum(cols) == geom.cols
+        group = linop._symmetry_group(radon.assemble_matrix(geom), geom.mirrors())
+        for perms, size in zip(group, (geom.rows, geom.cols)):
+            orbits = linop._Orbits(perms)
+            assert orbits.chars.shape == (4, 4) and orbits.size == size
+            assert orbits.keep.shape == (4, orbits.idx.shape[1])
+            assert orbits.keep.sum() == size
+            assert np.sum(4 // orbits.stab) == size and np.all(4 % orbits.stab == 0)
+            assert np.all(np.diff(orbits.idx[0]) > 0)
+            trivial = linop._Orbits(perms[:1])
+            assert np.array_equal(trivial.idx, np.arange(size)[None, :]) and np.array_equal(trivial.stab, np.ones(size))
+            assert trivial.keep.shape == (1, size) and np.all(trivial.keep)
+
+    @pytest.mark.parametrize("shape", FIXED_POINT_GEOMETRIES + [EVEN_GEOMETRY])
+    def test_gather_block_matches_dense_orbit_bases(self, shape):
+        geom = _geometry(shape)
+        a = radon.assemble_matrix(geom)
+        group = linop._symmetry_group(a, geom.mirrors())
+        row_orbits, col_orbits = (linop._Orbits(perms) for perms in group)
+        for s, chi in enumerate(linop._characters(2)):
+            want = _dense_orbit_basis(group[0], chi).T @ a @ _dense_orbit_basis(group[1], chi)
+            got = linop._gather_block(a, s, row_orbits, col_orbits)
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_tied_singular_values_keep_character_order(self):
         # every sigma is 1: the stable merge puts the 20 symmetric directions
@@ -180,6 +199,24 @@ class TestSymmetryBlocks:
             for got, want in ((got_u, u), (got_v, v)):
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _dense_orbit_basis(perms, chi):
+    """The chi-basis vectors sum_t chi(t) e_{t(i)} / sqrt(|G| |H|) as
+    columns, one per orbit whose stabiliser H has chi = 1, in ascending
+    order of the orbit's first index i, worked out one index at a time."""
+    columns = []
+    for i in range(perms.shape[1]):
+        if perms[:, i].min() < i:
+            continue  # not the first index of its orbit
+        stabiliser = perms[:, i] == i
+        if np.any(chi[stabiliser] < 0):
+            continue
+        e = np.zeros(perms.shape[1])
+        for t, sign in enumerate(chi):
+            e[perms[t, i]] += sign
+        columns.append(e / np.sqrt(chi.size * np.count_nonzero(stabiliser)))
+    return np.stack(columns, axis=1) if columns else np.zeros((perms.shape[1], 0))
 
 
 def _column_sign_rule(u, v):
@@ -305,10 +342,6 @@ class TestSpectralMultiply:
             small_op.spectral_multiply(np.zeros((2, small_op.cols + 1)), np.ones(small_op.rank))
 
 
-# an even grid whose blocks are all used: 4 characters on both sides
-EVEN_GEOMETRY = (10, 6, 12)
-
-
 def _operator(case):
     if case == "random":
         return svd_decompose(np.random.default_rng(5).standard_normal((15, 25)))
@@ -405,22 +438,23 @@ def _scatter_sort_sign(matrix, symmetries):
     scattered to full length as soon as it is factored, the columns put in
     the stable descending order of sigma, then the column-loop sign rule."""
     row_perms, col_perms = linop._symmetry_group(matrix, symmetries)
-    blocks = linop._blocks(row_perms, col_perms, linop._characters(len(symmetries)))
+    row_orbits, col_orbits = linop._Orbits(row_perms), linop._Orbits(col_perms)
     k = min(matrix.shape)
-    if sum(min(r.shape[1], c.shape[1]) for _, r, _, c, _ in blocks) < k:
-        blocks = linop._blocks(row_perms[:1], col_perms[:1], linop._characters(0))
+    if np.minimum(row_orbits.keep.sum(axis=1), col_orbits.keep.sum(axis=1)).sum() < k:
+        row_orbits, col_orbits = linop._Orbits(row_perms[:1]), linop._Orbits(col_perms[:1])
     u, v = np.zeros((matrix.shape[1], k)), np.zeros((matrix.shape[0], k))
     sigma, characters = np.zeros(k), np.zeros(k, dtype=np.intp)
     pos = 0
-    for s_chi, (chi, row_idx, row_stab, col_idx, col_stab) in enumerate(blocks):
-        block = linop._gather_block(matrix, chi, row_idx, row_stab, col_idx, col_stab)
+    for s_chi, chi in enumerate(col_orbits.chars):
+        block = linop._gather_block(matrix, s_chi, row_orbits, col_orbits)
         w, s, zt = np.linalg.svd(block.T, full_matrices=False)
         sigma[pos : pos + s.size] = s
         characters[pos : pos + s.size] = s_chi
-        for out, idx, stab, vecs in ((u, col_idx, col_stab, w), (v, row_idx, row_stab, zt.T)):
-            vecs = vecs * np.sqrt(stab / chi.size)[:, None]
+        for out, orbits, vecs in ((u, col_orbits, w), (v, row_orbits, zt.T)):
+            keep = orbits.keep[s_chi]
+            vecs = vecs * np.sqrt(orbits.stab[keep] / chi.size)[:, None]
             for t in range(chi.size):
-                out[idx[t], pos : pos + s.size] = vecs if chi[t] > 0 else -vecs
+                out[orbits.idx[t, keep], pos : pos + s.size] = vecs if chi[t] > 0 else -vecs
         pos += s.size
     order = np.argsort(-sigma, kind="stable")
     u, v = _column_sign_rule(u[:, order], v[:, order])
