@@ -6,9 +6,12 @@ a manifest, and ``reconstruct`` / ``evaluate`` / ``rates`` / ``distfn`` /
 ``checkfilter`` produce PGM images, CSV curves and plain-text summaries.
 Configuration is a key=value file overridden by flags; every output
 embeds the resolved config hash and seeds in its metadata, so reruns
-with an identical config are byte-identical. A value that does not parse
-as its key's type, an empty alpha or delta list, or an unknown ``method``
-or ``filter`` is a usage error (exit 1) before any file is read.
+with an identical config are byte-identical for one numpy/OpenBLAS build
+and BLAS thread count (two OpenBLAS threads against one changed 8 files
+of the benchmark's desk-train run in the last digits, and 14 of
+wide-classical's as tied pairs changed character). A value that does not
+parse as its key's type, an empty alpha or delta list, or an unknown
+``method`` or ``filter`` is a usage error (exit 1) before any file is read.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 I/O failure
 (a missing, unreadable, malformed or truncated input file).

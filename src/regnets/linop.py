@@ -26,7 +26,9 @@ orbit bases e = sum_t chi(t) e_{t(i)} / sqrt(|G| |H|), one basis vector per
 index orbit whose stabiliser H lies in the kernel of chi.  The orbits of
 each side, with their first indices and stabilisers and the characters
 that keep each, are worked out in one place, the table ``_Orbits``; the
-block SVD, its unfold and the block products all read it.  Each block is
+block SVD, its unfold and the block products all read it, and it alone
+forms the signed orbit sums sum_t chi(t) x_{t(i)} (``gather``) and maps
+them back to full length (``scatter``) for both.  Each block is
 about 1/|G| of A on each side and is factored by its own SVD, which costs
 about 1/|G|^3 of the whole.  Each block's singular vectors are placed, as
 soon as it is factored, in orbit coordinates: one row per orbit, about
@@ -47,9 +49,10 @@ time.  Entry ``U[i, n]`` of a pair n of character chi is chi(t) U[i_O, n]
 at each index i = t(i_O) of the orbit O with first index i_O, and is 0 on
 the orbits chi drops; so <u_n, x> = sum_O U[i_O, n] (1/|H_O|) sum_t chi(t)
 x_{t(i_O)}, and sum_n c_n u_n is sum_chi chi(t) (U_chi c)_O at t(i_O),
-where U_chi holds the rows i_O and the columns of chi's pairs of U.  The
-same holds for V with the row permutations.  A group of one element is
-one block, U or V itself.
+where U_chi holds the rows i_O and the columns of chi's pairs of U below
+the rank, the only ones a product reads.  The same holds for V with the
+row permutations.  A group of one element is one block, the first
+``rank`` columns of U or V, not a copy.
 """
 
 from __future__ import annotations
@@ -95,6 +98,7 @@ class SvdOperator:
     rank : int
         Number of kept directions: columns 0 .. rank-1 (a prefix, as the
         singular values descend).  ``retained_rank(alpha)`` is a shorter one.
+        Products with U or V take at most ``rank`` directions.
     """
 
     matrix: np.ndarray
@@ -153,11 +157,11 @@ class SvdOperator:
 
     @cached_property
     def _image_blocks(self) -> "_BlockBasis":
-        return _BlockBasis(self.image_vectors, _Orbits(self._group[1]), self.characters)
+        return _BlockBasis(self.image_vectors, _Orbits(self._group[1]), self.characters, self.rank)
 
     @cached_property
     def _data_blocks(self) -> "_BlockBasis":
-        return _BlockBasis(self.data_vectors, _Orbits(self._group[0]), self.characters)
+        return _BlockBasis(self.data_vectors, _Orbits(self._group[0]), self.characters, self.rank)
 
     def image_coefficients(self, x, r: int) -> np.ndarray:
         """<u_n, x> for n < r, for one coefficient vector or a (count, cols)
@@ -203,46 +207,20 @@ def _check_length(x, length: int, space: str, stack: bool) -> np.ndarray:
 
 
 class _BlockBasis:
-    """One side's singular vectors, U or V, as one dense block per character.
+    """One side's singular vectors, U or V, up to the rank, as the dense
+    block U_chi of each character chi (the module docstring); products
+    gather the input with the side's table, multiply block by block and
+    scatter back."""
 
-    Block chi is the exact sub-matrix of the basis on the first index of
-    every orbit and the columns of chi's pairs, in stored order; for the
-    trivial group it is the basis itself.  Products gather the input into
-    orbit coordinates, multiply block by block and scatter back, as the
-    module docstring describes.
-    """
-
-    def __init__(self, basis, orbits, characters):
-        self.size, self.count = basis.shape
-        if orbits.idx.shape[0] == 1:
-            self.idx = None
-            self.blocks = [basis]
-            self.pairs = [np.arange(basis.shape[1])]
-            return
-        self.chars = orbits.chars
-        self.idx = orbits.idx
-        self.inv_stab = 1.0 / orbits.stab
-        order = np.argsort(characters, kind="stable")
-        bounds = np.cumsum(np.bincount(characters, minlength=len(self.chars)))[:-1]
-        self.blocks = np.split(np.take(basis[self.idx[0]], order, axis=1), bounds, axis=1)
+    def __init__(self, basis, orbits, characters, rank: int):
+        self.orbits, self.count = orbits, rank
+        order = np.argsort(characters[:rank], kind="stable")
+        bounds = np.cumsum(np.bincount(characters[:rank], minlength=len(orbits.chars)))[:-1]
+        if len(orbits.chars) == 1:
+            self.blocks = [basis[:, :rank]]
+        else:
+            self.blocks = np.split(np.take(basis[orbits.idx[0], :rank], order, axis=1), bounds, axis=1)
         self.pairs = np.split(order, bounds)
-
-    def _gather(self, x) -> list:
-        """Per block, (1/|H|) sum_t chi(t) x[t(i)] for each orbit's first index i."""
-        if self.idx is None:
-            return [x]
-        coords = self.chars @ x[..., self.idx]
-        coords *= self.inv_stab
-        return [coords[..., s, :] for s in range(len(self.chars))]
-
-    def _scatter(self, parts) -> np.ndarray:
-        """The vector that is sum_chi chi(t) part_chi[O] at each index t(i) of orbit O."""
-        if self.idx is None:
-            return parts[0]
-        values = self.chars @ np.stack(parts, axis=-2)  # the characters are symmetric
-        out = np.empty(values.shape[:-2] + (self.size,))
-        out[..., self.idx] = values
-        return out
 
     def _check_count(self, r: int):
         if not 0 <= r <= self.count:
@@ -251,21 +229,22 @@ class _BlockBasis:
     def coefficients(self, x, r: int) -> np.ndarray:
         """The inner products of x with columns 0 .. r-1, in stored order."""
         self._check_count(r)
+        coords = self.orbits.gather(x) / self.orbits.stab
         out = np.empty(x.shape[:-1] + (r,))
-        for coords, block, pairs in zip(self._gather(x), self.blocks, self.pairs):
+        for s, (block, pairs) in enumerate(zip(self.blocks, self.pairs)):
             n = int(np.searchsorted(pairs, r))
-            out[..., pairs[:n]] = coords @ block[:, :n]
+            out[..., pairs[:n]] = coords[..., s, :] @ block[:, :n]
         return out
 
     def synthesize(self, coef) -> np.ndarray:
         """sum_n coef_n times column n, for n below the length of coef."""
         r = coef.shape[-1]
         self._check_count(r)
-        parts = []
-        for block, pairs in zip(self.blocks, self.pairs):
+        values = np.empty(coef.shape[:-1] + self.orbits.idx.shape)
+        for s, (block, pairs) in enumerate(zip(self.blocks, self.pairs)):
             n = int(np.searchsorted(pairs, r))
-            parts.append(coef[..., pairs[:n]] @ block[:, :n].T)
-        return self._scatter(parts)
+            np.matmul(coef[..., pairs[:n]], block[:, :n].T, out=values[..., s, :])
+        return self.orbits.scatter(values)
 
 
 def svd_decompose(matrix, rank_tol: float = 1e-10, symmetries=()) -> SvdOperator:
@@ -318,11 +297,11 @@ def svd_decompose(matrix, rank_tol: float = 1e-10, symmetries=()) -> SvdOperator
     sigma = np.zeros(k)
     characters = np.zeros(k, dtype=np.intp)
     pos = 0
-    for s_chi in range(len(col_orbits.chars)):
-        block = _gather_block(matrix, s_chi, row_orbits, col_orbits)
+    blocks = _orbit_blocks(matrix, row_orbits, col_orbits)
+    for s_chi in range(len(blocks)):
         # the transposed block, so that w comes out (orbits, pairs) and row-major
-        w, s, zt = np.linalg.svd(block.T, full_matrices=False)
-        del block
+        w, s, zt = np.linalg.svd(blocks[s_chi].T, full_matrices=False)
+        blocks[s_chi] = None
         pairs = slice(pos, pos + s.size)
         sigma[pairs] = s
         characters[pairs] = s_chi
@@ -332,6 +311,7 @@ def svd_decompose(matrix, rank_tol: float = 1e-10, symmetries=()) -> SvdOperator
         keep = row_orbits.keep[s_chi]
         v[keep, pairs] = zt.T * np.sqrt(row_orbits.stab[keep] / len(row_orbits.chars))[:, None]
         pos += s.size
+        del w, zt  # not kept through the next block's SVD or the unfolds
 
     order = np.argsort(-sigma, kind="stable")
     if np.any(order != np.arange(k)):  # one block comes out of LAPACK in order: no copy then
@@ -419,18 +399,13 @@ def _check_invariant(matrix, r, c, n: int, norm: float):
         raise ValueError(f"symmetry {n} changes the matrix by {np.sqrt(err) / norm:.3g} relative")
 
 
-def _characters(m: int) -> np.ndarray:
-    """The 2^m characters of (Z/2)^m as rows of +-1: chi[s, b] = (-1)^popcount(s & b)."""
-    return np.array([[(-1.0) ** bin(s & b).count("1") for b in range(1 << m)] for s in range(1 << m)])
-
-
 class _Orbits:
     """The index orbits of one side under the group, the one place they are
     worked out.
 
     Built from one side's ``_group_table`` rows.  ``chars`` are the
-    characters of the group (``_characters``), ``size`` the length of the
-    index set, ``idx`` the image of each orbit's first index under every
+    characters of the group as rows of +-1, chi_s(b) = (-1)^popcount(s & b)
+    for element b, ``size`` the length of the index set, ``idx`` the image of each orbit's first index under every
     group element, shape ``(|G|, orbits)`` with the orbits in ascending
     order of first index, ``stab`` each orbit's stabiliser size, and
     ``keep`` (characters x orbits) whether a character has a component on
@@ -439,31 +414,51 @@ class _Orbits:
 
     def __init__(self, perms):
         self.size = perms.shape[1]
-        self.chars = _characters(perms.shape[0].bit_length() - 1)
+        order = perms.shape[0]
+        self.chars = np.array([[(-1.0) ** bin(s & b).count("1") for b in range(order)] for s in range(order)])
         reps = np.flatnonzero(perms.min(axis=0) == np.arange(self.size))
         self.idx = perms[:, reps]
         fixed = self.idx == reps
         self.stab = np.count_nonzero(fixed, axis=0)
         self.keep = ~np.any(fixed & (self.chars < 0)[:, :, None], axis=1)
 
+    def gather(self, x) -> np.ndarray:
+        """sum_t chi(t) x[..., t(i)] for every character chi (axis -2) and
+        each orbit's first index i (axis -1); for the trivial group, x itself
+        with a character axis of length 1, not a copy."""
+        if self.idx.shape[0] == 1:
+            return x[..., None, :]
+        return self.chars @ x[..., self.idx]
 
-def _gather_block(matrix, s: int, row_orbits, col_orbits):
-    """The block of character s in the orbit bases, without a dense basis:
-    one row gather at the first indices of the row orbits s keeps, then a
-    signed sum of |G| column gathers, weighted 1 / sqrt(|H_row| |H_col|)."""
-    chi = col_orbits.chars[s]
-    row_keep, col_keep = row_orbits.keep[s], col_orbits.keep[s]
-    row_first, col_idx = row_orbits.idx[0, row_keep], col_orbits.idx[:, col_keep]
-    block = np.zeros((row_first.size, col_idx.shape[1]))
+    def scatter(self, values) -> np.ndarray:
+        """The full-length vector that is sum_chi chi(t) values[..., chi, O]
+        at each index t(i) of orbit O; for the trivial group
+        ``values[..., 0, :]``, not a copy."""
+        if self.idx.shape[0] == 1:
+            return values[..., 0, :]
+        values = self.chars @ values  # the characters are symmetric
+        out = np.empty(values.shape[:-2] + (self.size,))
+        out[..., self.idx] = values
+        return out
+
+
+def _orbit_blocks(matrix, row_orbits, col_orbits) -> list:
+    """Each character's block of the matrix in the orbit bases, without a
+    dense basis: the signed column sums (``gather``) of the row orbits'
+    first rows, a chunk of rows at a time, split among the characters by
+    the orbits each keeps and weighted 1 / sqrt(|H_row| |H_col|)."""
+    row_keep, col_keep = row_orbits.keep, col_orbits.keep
+    blocks = [np.empty((np.count_nonzero(r), np.count_nonzero(c))) for r, c in zip(row_keep, col_keep)]
+    first = row_orbits.idx[0]
     step = max(1, _CHUNK // matrix.shape[1])
-    for i in range(0, block.shape[0], step):
-        rows = matrix[row_first[i : i + step]]
-        part = block[i : i + step]
-        for t, sign in enumerate(chi):
-            (np.add if sign > 0 else np.subtract)(part, np.take(rows, col_idx[t], axis=1), out=part)
-    block *= 1.0 / np.sqrt(row_orbits.stab[row_keep])[:, None]
-    block *= 1.0 / np.sqrt(col_orbits.stab[col_keep])
-    return block
+    for i in range(0, first.size, step):
+        sums = col_orbits.gather(matrix[first[i : i + step]])
+        sums *= 1.0 / np.sqrt(row_orbits.stab[i : i + step])[:, None, None]
+        sums *= 1.0 / np.sqrt(col_orbits.stab)
+        for s, block in enumerate(blocks):
+            keep = row_keep[s, : i + step]
+            block[np.count_nonzero(keep[:i]) : np.count_nonzero(keep)] = sums[:, s][np.ix_(keep[i:], col_keep[s])]
+    return blocks
 
 
 def _unfold(vecs, orbits, characters):

@@ -120,16 +120,48 @@ class TestSymmetryBlocks:
             assert trivial.keep.shape == (1, size) and np.all(trivial.keep)
 
     @pytest.mark.parametrize("shape", FIXED_POINT_GEOMETRIES + [EVEN_GEOMETRY])
-    def test_gather_block_matches_dense_orbit_bases(self, shape):
+    def test_gather_block_matches_dense_orbit_bases(self, shape, monkeypatch):
+        # the block build of svd_decompose, in one chunk of rows and in
+        # chunks of three rows of the matrix
         geom = _geometry(shape)
         a = radon.assemble_matrix(geom)
         group = linop._symmetry_group(a, geom.mirrors())
         row_orbits, col_orbits = (linop._Orbits(perms) for perms in group)
-        for s, chi in enumerate(linop._characters(2)):
-            want = _dense_orbit_basis(group[0], chi).T @ a @ _dense_orbit_basis(group[1], chi)
-            got = linop._gather_block(a, s, row_orbits, col_orbits)
-            assert got.shape == want.shape
-            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        for chunk in (linop._CHUNK, 3 * a.shape[1]):
+            monkeypatch.setattr(linop, "_CHUNK", chunk)
+            blocks = linop._orbit_blocks(a, row_orbits, col_orbits)
+            for chi, got in zip(col_orbits.chars, blocks, strict=True):
+                want = _dense_orbit_basis(group[0], chi).T @ a @ _dense_orbit_basis(group[1], chi)
+                assert got.shape == want.shape
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("shape", FIXED_POINT_GEOMETRIES + [EVEN_GEOMETRY])
+    def test_orbit_gather_and_scatter_match_dense_orbit_bases(self, shape, rng):
+        # with B the dense basis of character chi and c_O = sqrt(|G| |H_O|):
+        # gather(x)[chi, O] = c_O (B^T x)[O], and scatter gives B z from the
+        # values z[O] |H_O| / c_O on chi's orbits and 0 on the others
+        geom = _geometry(shape)
+        group = linop._symmetry_group(radon.assemble_matrix(geom), geom.mirrors())
+        for perms in (*group, group[0][:1], group[1][:1]):
+            orbits = linop._Orbits(perms)
+            for count in ((), (3,)):
+                x = rng.standard_normal(count + (orbits.size,))
+                sums = orbits.gather(x)
+                values, want = np.zeros(count + orbits.idx.shape), np.zeros(count + (orbits.size,))
+                for s, (chi, keep) in enumerate(zip(orbits.chars, orbits.keep, strict=True)):
+                    basis = _dense_orbit_basis(perms, chi)
+                    c = np.sqrt(chi.size * orbits.stab[keep])
+                    got = sums[..., s, keep]
+                    assert np.linalg.norm(got - (x @ basis) * c) <= 1e-13 * np.linalg.norm(got)
+                    assert np.abs(sums[..., s, ~keep]).max(initial=0.0) <= 1e-13 * np.abs(x).max()
+                    z = rng.standard_normal(count + (basis.shape[1],))
+                    values[..., s, keep] = z * orbits.stab[keep] / c
+                    want += z @ basis.T
+                got = orbits.scatter(values)
+                assert got.shape == want.shape
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+                # the trivial table copies nothing either way
+                assert np.shares_memory(sums, x) == np.shares_memory(got, values) == (len(orbits.chars) == 1)
 
     def test_tied_singular_values_keep_character_order(self):
         # every sigma is 1: the stable merge puts the 20 symmetric directions
@@ -350,13 +382,21 @@ def _operator(case):
 
 
 def _scattered(blocks):
-    """The full basis rebuilt from a side's block factors, one block at a time."""
-    out = np.zeros((blocks.size, blocks.count))
+    """The basis's first ``count`` columns rebuilt from a side's block
+    factors, one block at a time."""
+    orbits = blocks.orbits
+    out = np.zeros((orbits.size, blocks.count))
     for s, (block, pairs) in enumerate(zip(blocks.blocks, blocks.pairs)):
-        parts = [np.zeros((pairs.size, other.shape[0])) for other in blocks.blocks]
-        parts[s] = block.T
-        out[:, pairs] = blocks._scatter(parts).T
+        values = np.zeros((pairs.size,) + orbits.idx.shape)
+        values[:, s] = block.T
+        out[:, pairs] = orbits.scatter(values).T
     return out
+
+
+def _leading_columns(blocks, basis, rank):
+    """The one block is the basis's first ``rank`` columns, not a copy."""
+    (block,) = blocks.blocks
+    return np.shares_memory(block, basis) and block.shape == (basis.shape[0], rank) and np.array_equal(block, basis[:, :rank])
 
 
 def _close(got, want):
@@ -391,8 +431,8 @@ class TestBlockProducts:
         storage.write_operator(tmp_path / "op.rgn1", op)
         back = storage.read_operator(tmp_path / "op.rgn1")
         for each in (op, back):
-            assert np.array_equal(_scattered(each._image_blocks), op.image_vectors)
-            assert np.array_equal(_scattered(each._data_blocks), op.data_vectors)
+            assert np.array_equal(_scattered(each._image_blocks), op.image_vectors[:, : op.rank])
+            assert np.array_equal(_scattered(each._data_blocks), op.data_vectors[:, : op.rank])
         assert np.array_equal(back.characters, op.characters)
         assert len(back.symmetries) == len(op.symmetries)
 
@@ -401,7 +441,7 @@ class TestBlockProducts:
         op = _operator(shape)
         assert op.symmetries == ()
         assert not np.any(op.characters)
-        assert op._image_blocks.blocks[0] is op.image_vectors
+        assert _leading_columns(op._image_blocks, op.image_vectors, op.rank)
 
     def test_five_arguments_build_the_one_block_operator(self):
         op = _operator(EVEN_GEOMETRY)
@@ -409,8 +449,8 @@ class TestBlockProducts:
         plain = SvdOperator(op.matrix, op.image_vectors, op.data_vectors, op.singular_values, op.rank_tol)
         assert plain.symmetries == () and not np.any(plain.characters)
         # U and V as they are: no copy of either
-        assert plain._image_blocks.blocks == [op.image_vectors] and plain._image_blocks.blocks[0] is op.image_vectors
-        assert plain._data_blocks.blocks[0] is op.data_vectors
+        assert _leading_columns(plain._image_blocks, op.image_vectors, op.rank)
+        assert _leading_columns(plain._data_blocks, op.data_vectors, op.rank)
         x = np.random.default_rng(2).standard_normal((2, op.cols))
         _close(plain.project_out(x, op.rank), op.project_out(x, op.rank))
 
@@ -445,8 +485,8 @@ def _scatter_sort_sign(matrix, symmetries):
     u, v = np.zeros((matrix.shape[1], k)), np.zeros((matrix.shape[0], k))
     sigma, characters = np.zeros(k), np.zeros(k, dtype=np.intp)
     pos = 0
-    for s_chi, chi in enumerate(col_orbits.chars):
-        block = linop._gather_block(matrix, s_chi, row_orbits, col_orbits)
+    blocks = linop._orbit_blocks(matrix, row_orbits, col_orbits)
+    for s_chi, (chi, block) in enumerate(zip(col_orbits.chars, blocks, strict=True)):
         w, s, zt = np.linalg.svd(block.T, full_matrices=False)
         sigma[pos : pos + s.size] = s
         characters[pos : pos + s.size] = s_chi
