@@ -311,7 +311,7 @@ def svd_decompose(matrix, rank_tol: float = 1e-10, symmetries=()) -> SvdOperator
         keep = row_orbits.keep[s_chi]
         v[keep, pairs] = zt.T * np.sqrt(row_orbits.stab[keep] / len(row_orbits.chars))[:, None]
         pos += s.size
-        del w, zt  # not kept through the next block's SVD or the unfolds
+        del w, zt  # freed before the next block's SVD, not held through the unfolds
 
     order = np.argsort(-sigma, kind="stable")
     if np.any(order != np.arange(k)):  # one block comes out of LAPACK in order: no copy then
@@ -405,11 +405,12 @@ class _Orbits:
 
     Built from one side's ``_group_table`` rows.  ``chars`` are the
     characters of the group as rows of +-1, chi_s(b) = (-1)^popcount(s & b)
-    for element b, ``size`` the length of the index set, ``idx`` the image of each orbit's first index under every
-    group element, shape ``(|G|, orbits)`` with the orbits in ascending
-    order of first index, ``stab`` each orbit's stabiliser size, and
-    ``keep`` (characters x orbits) whether a character has a component on
-    an orbit: it does unless an element of the stabiliser has chi = -1.
+    at element b, ``size`` the length of the index set, ``idx`` the image
+    of each orbit's first index under every group element, shape
+    ``(|G|, orbits)`` with the orbits in ascending order of first index,
+    ``stab`` each orbit's stabiliser size, and ``keep`` (characters x
+    orbits) whether a character has a component on an orbit: it does
+    unless an element of the stabiliser has chi = -1.
     """
 
     def __init__(self, perms):

@@ -396,7 +396,8 @@ def _scattered(blocks):
 def _leading_columns(blocks, basis, rank):
     """The one block is the basis's first ``rank`` columns, not a copy."""
     (block,) = blocks.blocks
-    return np.shares_memory(block, basis) and block.shape == (basis.shape[0], rank) and np.array_equal(block, basis[:, :rank])
+    shape = (basis.shape[0], rank)
+    return np.shares_memory(block, basis) and block.shape == shape and np.array_equal(block, basis[:, :rank])
 
 
 def _close(got, want):
